@@ -25,6 +25,7 @@ from .algebra import BlockLexOrder, Polynomial
 from .encoding import (
     ProcessSubset,
     SetSystem,
+    bool_product,
     cover_poly,
     downset_poly,
     overlap_poly,
@@ -107,13 +108,12 @@ def check_consistency_classical(
     gens = [system_char_poly(quorums, "x"), system_char_poly(quorums, "y")]
     expected = len(quorums) ** 2
     if method == "sm-count":
-        gens.append(overlap_poly(n, "x", "y"))
-        cert = buchberger(IdealBasis(_nonzero(gens), order, n))
+        cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=(overlap_poly(n, "x", "y"),)))
         return Verdict(
             "classical-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, method
         )
     if method == "trivial-ideal":
-        gens.append(overlap_poly(n, "x", "y") + Polynomial.one(n))
+        gens.append(bool_product(overlap_poly(n, "x", "y"), n) + Polynomial.one(n))
         cert = buchberger(IdealBasis(_nonzero(gens), order, n))
         trivial = len(cert.basis) == 1 and cert.basis[0].is_one
         return Verdict("classical-consistency", trivial, expected, None, cert, method)
@@ -141,7 +141,7 @@ def check_availability(
     gens = [
         system_char_poly(fail_prone, "x"),
         system_char_poly(quorums, "y"),
-        overlap_poly(n, "x", "y") + one,
+        bool_product(overlap_poly(n, "x", "y"), n) + one,
     ]
     cert = buchberger(IdealBasis(_nonzero(gens), order, n))
     observed = cert.sm_count_for(("x",))
@@ -165,13 +165,9 @@ def check_consistency_dissemination(
     n = quorums.n
     _check_budget(3, n, var_budget)
     order = BlockLexOrder(("x", "y", "t"))
-    gens = [
-        system_char_poly(quorums, "x"),
-        system_char_poly(quorums, "y"),
-        downset_poly(fail_prone, "t"),
-        uncovered_meet_poly(n, ("x", "y"), "t"),
-    ]
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n))
+    gens = [system_char_poly(quorums, "x"), system_char_poly(quorums, "y")]
+    products = (downset_poly(fail_prone, "t"), uncovered_meet_poly(n, ("x", "y"), "t"))
+    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=products))
     expected = len(quorums) ** 2 * len(fstar_enumerate(fail_prone))
     return Verdict(
         "dissemination-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count"
@@ -198,10 +194,9 @@ def check_consistency_masking(
         system_char_poly(quorums, "x"),
         system_char_poly(quorums, "y"),
         system_char_poly(fail_prone.complements(), "z"),
-        downset_poly(fail_prone, "t"),
-        uncovered_meet_poly(n, ("x", "y", "z"), "t"),
     ]
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n))
+    products = (downset_poly(fail_prone, "t"), uncovered_meet_poly(n, ("x", "y", "z"), "t"))
+    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=products))
     expected = len(quorums) ** 2 * len(fail_prone) * len(fstar_enumerate(fail_prone))
     return Verdict(
         "masking-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count"
@@ -226,8 +221,7 @@ def _check_cover(
     _check_budget(len(blocks), n, var_budget)
     order = BlockLexOrder(blocks)
     gens = [system_char_poly(fail_prone, b) for b in blocks]
-    gens.append(cover_poly(n, blocks))
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n))
+    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=(cover_poly(n, blocks),)))
     expected = len(fail_prone) ** len(blocks)
     return Verdict(prop, cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count")
 

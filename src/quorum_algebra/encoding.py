@@ -19,7 +19,9 @@ together: containment_poly vanishes where one support contains another,
 overlap_poly where supports meet, uncovered_meet_poly where a meet escapes
 a covering block, downset_poly exactly on the downward closure of a set
 system, and cover_poly takes value 1 where the blocks jointly cover every
-process.
+process. The last four return the factors of their product, which the
+Groebner engine multiplies out modulo the basis it has built so far;
+bool_product(...) gives the expansion.
 """
 
 from __future__ import annotations
@@ -328,8 +330,8 @@ def fixed_containment_poly(outer: ProcessSubset, inner_block: str) -> Polynomial
     return bool_product(factors, n) + one
 
 
-def overlap_poly(n: int, block_a: str, block_b: str) -> Polynomial:
-    """Vanishes at (p, q) exactly when the two supports intersect.
+def overlap_poly(n: int, block_a: str, block_b: str) -> tuple[Polynomial, ...]:
+    """Factors of a product vanishing at (p, q) exactly when the supports intersect.
 
     The product of (A_i * B_i + 1) is 0 as soon as some index lies in both
     supports and 1 otherwise.
@@ -340,11 +342,11 @@ def overlap_poly(n: int, block_a: str, block_b: str) -> Polynomial:
         a = Polynomial.variable(Variable(block_a, i), n)
         b = Polynomial.variable(Variable(block_b, i), n)
         factors.append(a * b + one)
-    return bool_product(factors, n)
+    return tuple(factors)
 
 
-def uncovered_meet_poly(n: int, meet_blocks: Sequence[str], cover_block: str) -> Polynomial:
-    """Vanishes exactly when the meet of the first blocks is NOT inside the cover.
+def uncovered_meet_poly(n: int, meet_blocks: Sequence[str], cover_block: str) -> tuple[Polynomial, ...]:
+    """Factors of a product vanishing exactly when the meet escapes the cover.
 
     Each factor is T_i * M_i + M_i + 1 with M_i the product over the meet
     blocks: it vanishes only when index i lies in every meet support but not
@@ -361,21 +363,20 @@ def uncovered_meet_poly(n: int, meet_blocks: Sequence[str], cover_block: str) ->
             m = m * Polynomial.variable(Variable(b, i), n)
         t = Polynomial.variable(Variable(cover_block, i), n)
         factors.append(t * m + m + one)
-    return bool_product(factors, n)
+    return tuple(factors)
 
 
-def downset_poly(system: SetSystem, block: str) -> Polynomial:
-    """Vanishes exactly on the downward closure of the system.
+def downset_poly(system: SetSystem, block: str) -> tuple[Polynomial, ...]:
+    """Factors of a product vanishing exactly on the downward closure of the system.
 
     The product over members F of (subset-of-F indicator complement) is zero
     exactly where some member contains the point's support.
     """
-    n = system.n
-    return bool_product((fixed_containment_poly(m, block) for m in system), n)
+    return tuple(fixed_containment_poly(m, block) for m in system)
 
 
-def cover_poly(n: int, blocks: Sequence[str]) -> Polynomial:
-    """Value 1 exactly when the blocks' supports jointly cover {P1..Pn}.
+def cover_poly(n: int, blocks: Sequence[str]) -> tuple[Polynomial, ...]:
+    """Factors of a product with value 1 exactly where the blocks cover {P1..Pn}.
 
     Factor i is the logical OR of the blocks at index i, that is
     1 + prod(1 + V_i); the product over i is 1 exactly when every index is
@@ -392,4 +393,4 @@ def cover_poly(n: int, blocks: Sequence[str]) -> Polynomial:
         for b in blocks:
             p = p * (Polynomial.variable(Variable(b, i), n) + one)
         factors.append(p + one)
-    return bool_product(factors, n)
+    return tuple(factors)

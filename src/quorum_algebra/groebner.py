@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .algebra import BlockLexOrder, Monomial, Polynomial, Variable
 
@@ -185,7 +184,7 @@ def _spoly_packed(f: Sequence[int], g: Sequence[int], ctx: _Context) -> tuple[in
 
 
 def _normal_form_packed(
-    terms: Sequence[int],
+    terms: Collection[int],
     basis: Sequence[tuple[int, ...]],
     lms: Sequence[int],
     buckets: dict[int, list[int]],
@@ -248,27 +247,41 @@ def _bucket_key(ctx: _Context, lm: int) -> int:
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """Generators plus the order and ambient they are to be read in."""
+    """Generators plus the order and ambient they are to be read in.
+
+    Each entry of products is a tuple of factors whose Boolean product is one
+    more generator; buchberger multiplies it out modulo the partial basis
+    rather than expanding it. A zero factor is allowed and makes the product
+    zero; an empty product is 1.
+    """
 
     generators: tuple[Polynomial, ...]
     order: BlockLexOrder
     n: int
     blocks: tuple[str, ...] = ()
+    products: tuple[tuple[Polynomial, ...], ...] = ()
 
     def __post_init__(self) -> None:
         blocks = self.blocks or self.order.blocks
         if set(blocks) != set(self.order.blocks):
             raise ValueError("declared blocks must match the order's blocks")
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "products", tuple(tuple(p) for p in self.products))
         for g in self.generators:
-            if not isinstance(g, Polynomial):
-                raise TypeError(f"generator {g!r} is not a Polynomial")
+            self._check(g, "generator")
             if g.is_zero:
                 raise ValueError("generators must be nonzero")
-            if g.n != self.n:
-                raise ValueError(f"generator ambient {g.n} != declared {self.n}")
-            if not g.blocks() <= set(blocks):
-                raise ValueError(f"generator {g} uses blocks outside {blocks}")
+        for factors in self.products:
+            for g in factors:
+                self._check(g, "product factor")
+
+    def _check(self, g: Polynomial, what: str) -> None:
+        if not isinstance(g, Polynomial):
+            raise TypeError(f"{what} {g!r} is not a Polynomial")
+        if g.n != self.n:
+            raise ValueError(f"{what} ambient {g.n} != declared {self.n}")
+        if not g.blocks() <= set(self.blocks):
+            raise ValueError(f"{what} {g} uses blocks outside {self.blocks}")
 
 
 @dataclass
@@ -401,18 +414,41 @@ def _run_buchberger(
             heapq.heappush(heap, (ctx.total_degree(l), l, seq, i, idx))
             seq += 1
 
-    gens = []
-    for g in B.generators:
-        gb = g.boolean_reduce()
-        if not gb.is_zero:
-            gens.append(ctx.pack_polynomial(gb))
-    for p in gens:
-        add_poly(p)
+    def pack(g: Polynomial) -> tuple[int, ...]:
+        return ctx.pack_polynomial(g.boolean_reduce())
+
+    for p in map(pack, B.generators):
+        if p:
+            add_poly(p)
     for fp in ctx.field_polynomials():
         add_poly(fp)
+    products = iter([[pack(f) for f in factors] for factors in B.products])
 
     divides = ctx.divides
-    while heap:
+    while True:
+        # A product waits until the pairs run out, then is reduced modulo that
+        # Groebner basis after every factor: it stays small, and it differs from
+        # the expanded product by an ideal element, so the ideal is unchanged.
+        if not heap:
+            factors = next(products, None)
+            if factors is None:
+                break
+            acc: tuple[int, ...] = (0,)  # the packed constant 1
+            for f in factors:
+                terms: set[int] = set()
+                for a in acc:
+                    for b in f:
+                        m = a | b  # lcm, the Boolean product of squarefree monomials
+                        if m in terms:
+                            terms.discard(m)
+                        else:
+                            terms.add(m)
+                acc = _normal_form_packed(terms, basis, lms, buckets, ctx)
+                if not acc:
+                    break
+            if acc:
+                add_poly(acc)
+            continue
         _, l, _, i, j = heapq.heappop(heap)
         processed.add((i, j))
         if use_coprime and ctx.coprime(lms[i], lms[j]):
@@ -468,7 +504,7 @@ def _reduce_basis(basis: list[tuple[int, ...]], ctx: _Context) -> list[tuple[int
 def buchberger(
     B: IdealBasis, *, use_coprime: bool = True, use_chain: bool = True
 ) -> GroebnerCertificate:
-    """Reduced Groebner basis of <generators + field polynomials>.
+    """Reduced Groebner basis of <generators, products, field polynomials>.
 
     Field polynomials are stripped from the reported basis unless they are
     its only content. The standard monomial count is over squarefree

@@ -1,6 +1,8 @@
 """Tests for the quorum-system property checkers."""
 
+from functools import reduce
 from itertools import product
+from operator import or_
 
 import pytest
 
@@ -18,7 +20,7 @@ from quorum_algebra.checkers import (
 )
 from quorum_algebra.encoding import SetSystem
 from quorum_algebra.groebner import variety_enumerate
-from quorum_algebra.oracle import oracle_q3
+from quorum_algebra.oracle import oracle_q3, oracle_q4
 
 TWO_SUBSETS = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
 SINGLETONS = SetSystem.from_lists(3, [[1], [2], [3]])
@@ -111,6 +113,23 @@ def test_q4_holds_at_five():
     verdict = check_q4(SetSystem.from_lists(5, [[i] for i in range(1, 6)]))
     assert verdict.holds
     assert verdict.observed_count == 625
+
+
+@pytest.mark.parametrize(
+    "check, oracle, blocks, n, f, holds, observed",
+    [(check_q3, oracle_q3, 3, 6, 2, False, 3285), (check_q4, oracle_q4, 4, 6, 1, True, 1296)],
+)
+def test_cover_checks_at_six(check, oracle, blocks, n, f, holds, observed):
+    _, fail_prone = threshold_system(n, f, "dissemination")
+    full = (1 << n) - 1
+    uncovered = sum(
+        1 for combo in product(fail_prone, repeat=blocks) if reduce(or_, (m.mask for m in combo)) != full
+    )
+    verdict = check(fail_prone)
+    assert verdict.holds is holds
+    assert verdict.expected_count == len(fail_prone) ** blocks
+    assert verdict.observed_count == uncovered == observed
+    assert oracle(fail_prone).holds is holds
 
 
 def test_masking_threshold_holds():

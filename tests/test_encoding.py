@@ -183,14 +183,14 @@ def test_fixed_containment_poly_truth_table():
 
 def test_overlap_poly_truth_table():
     n = 3
-    f = overlap_poly(n, "x", "y")
+    f = bool_product(overlap_poly(n, "x", "y"), n)
     for a, b in product(range(8), repeat=2):
         assert f.evaluate(point(n, x=a, y=b)) == (0 if a & b else 1)
 
 
 def test_uncovered_meet_poly_truth_table():
     n = 2
-    f = uncovered_meet_poly(n, ("x", "y"), "t")
+    f = bool_product(uncovered_meet_poly(n, ("x", "y"), "t"), n)
     for a, b, t in product(range(4), repeat=3):
         escapes = (a & b) & ~t != 0
         assert f.evaluate(point(n, x=a, y=b, t=t)) == (0 if escapes else 1)
@@ -200,7 +200,7 @@ def test_uncovered_meet_poly_truth_table():
 
 def test_uncovered_meet_poly_three_blocks():
     n = 2
-    f = uncovered_meet_poly(n, ("x", "y", "z"), "t")
+    f = bool_product(uncovered_meet_poly(n, ("x", "y", "z"), "t"), n)
     for a, b, c, t in product(range(4), repeat=4):
         escapes = (a & b & c) & ~t != 0
         assert f.evaluate(point(n, x=a, y=b, z=c, t=t)) == (0 if escapes else 1)
@@ -213,7 +213,7 @@ def test_downset_poly_vanishes_exactly_on_closure():
         members = {rng.randint(0, (1 << n) - 1) for _ in range(rng.randint(1, 3))}
         system = SetSystem(n, (ProcessSubset(m, n) for m in members))
         closure = {m.mask for m in fstar_enumerate(system)}
-        f = downset_poly(system, "t")
+        f = bool_product(downset_poly(system, "t"), n)
         for mask in range(1 << n):
             expected = 0 if mask in closure else 1
             if f.is_zero:
@@ -224,7 +224,7 @@ def test_downset_poly_vanishes_exactly_on_closure():
 
 def test_cover_poly_truth_table():
     n = 2
-    f = cover_poly(n, ("x", "y", "t"))
+    f = bool_product(cover_poly(n, ("x", "y", "t")), n)
     for a, b, t in product(range(4), repeat=3):
         covers = (a | b | t) == 3
         assert f.evaluate(point(n, x=a, y=b, t=t)) == (1 if covers else 0)

@@ -10,7 +10,14 @@ from quorum_algebra.algebra import (
     Variable,
     parse_polynomial,
 )
-from quorum_algebra.encoding import ProcessSubset, SetSystem, char_poly, overlap_poly, system_char_poly
+from quorum_algebra.encoding import (
+    ProcessSubset,
+    SetSystem,
+    bool_product,
+    char_poly,
+    overlap_poly,
+    system_char_poly,
+)
 from quorum_algebra.groebner import (
     GroebnerCertificate,
     IdealBasis,
@@ -117,7 +124,7 @@ def test_buchberger_disjoint_quorums_consistency_ideal():
     gens = (
         system_char_poly(quorums, "x"),
         system_char_poly(quorums, "y"),
-        overlap_poly(3, "x", "y") + Polynomial.one(3),
+        bool_product(overlap_poly(3, "x", "y"), 3) + Polynomial.one(3),
     )
     cert = buchberger(IdealBasis(gens, XY, 3))
     assert cert.basis == (Polynomial.one(3),)
@@ -164,6 +171,46 @@ def test_spolys_of_output_reduce_to_zero():
                 s = spoly(cert.basis[i], cert.basis[j], X)
                 if not s.is_zero:
                     assert normal_form(s, reducers, X).is_zero
+
+
+def _assert_fold_matches_expansion(gens, products, order, n):
+    expanded = tuple(g for g in (bool_product(f, n) for f in products) if not g.is_zero)
+    reference = buchberger(IdealBasis(tuple(gens) + expanded, order, n))
+    folded = IdealBasis(tuple(gens), order, n, products=products)
+    for coprime in (True, False):
+        for chain in (True, False):
+            cert = buchberger(folded, use_coprime=coprime, use_chain=chain)
+            assert cert.basis == reference.basis
+            assert cert.sm_count == reference.sm_count
+    return reference
+
+
+def test_products_fold_like_their_expansion():
+    rng = seeded(16)
+    for _ in range(40):
+        blocks = rng.choice((("x",), ("x", "y"), ("y", "x"), ("x", "y", "t")))
+        n = rng.randint(1, 4)
+        gens = rand_generators(n, blocks, rng, max_gens=3)
+        products = tuple(
+            tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 2))
+        )
+        _assert_fold_matches_expansion(gens, products, BlockLexOrder(blocks), n)
+
+
+def test_product_fold_edge_cases():
+    gens = (p("x1*x2 + x1", 2),)
+    plain = buchberger(IdealBasis(gens, X, 2))
+    # a zero factor makes the whole product zero, so it adds nothing
+    with_zero = ((p("x2 + 1", 2), Polynomial.zero(2)),)
+    assert _assert_fold_matches_expansion(gens, with_zero, X, 2).basis == plain.basis
+    # the empty product is 1
+    cert = _assert_fold_matches_expansion(gens, ((),), X, 2)
+    assert cert.basis == (Polynomial.one(2),) and cert.sm_count == 0
+    # x1 is in the ideal, so the product is zero after its first factor
+    gens = (p("x1", 2),)
+    cert = _assert_fold_matches_expansion(gens, ((p("x1", 2), p("x2 + 1", 2)),), X, 2)
+    assert cert.basis == gens and cert.sm_count == 2
 
 
 def test_criteria_do_not_change_the_basis():
@@ -263,7 +310,7 @@ def test_availability_subbasis_variety():
     gens = (
         system_char_poly(singles, "x"),
         system_char_poly(quorums, "y"),
-        overlap_poly(3, "x", "y") + Polynomial.one(3),
+        bool_product(overlap_poly(3, "x", "y"), 3) + Polynomial.one(3),
     )
     cert = buchberger(IdealBasis(gens, order, 3))
     sub = elimination_subbasis(cert, ("x",))
@@ -315,3 +362,14 @@ def test_idealbasis_validation():
         IdealBasis((p("y1"),), X, 3)
     with pytest.raises(ValueError):
         IdealBasis((p("x1", 2),), X, 3)
+
+
+def test_idealbasis_validates_products():
+    with pytest.raises(TypeError):
+        IdealBasis((), X, 3, products=((p("x1"), "x2"),))
+    with pytest.raises(TypeError):
+        IdealBasis((), X, 3, products=(p("x1 + x2"),))  # a polynomial, not a factor tuple
+    with pytest.raises(ValueError):
+        IdealBasis((), X, 3, products=((p("x1", 2),),))
+    with pytest.raises(ValueError):
+        IdealBasis((), X, 3, products=((p("x1"), p("y1")),))
