@@ -391,3 +391,41 @@ def format_polynomial(f: Polynomial, order: BlockLexOrder | None = None) -> str:
         return "0"
     ordered = sorted(f.terms, key=order.sort_key, reverse=True)
     return " + ".join(str(m) for m in ordered)
+
+
+def gf2_zeta(table: int, v: int) -> int:
+    """Subset-sum transform over F2 of a bitset indexed by v-bit masks.
+
+    Bit T of the result is the XOR of the input bits S over all S that are
+    subsets of T. Over F2 the transform is its own inverse (zeta equals
+    Moebius), so the same call turns squarefree monomial coefficients into a
+    truth table and a truth table back into coefficients.
+    """
+    total = 1 << v
+    for k in range(v):
+        blk = 1 << k
+        # pattern marking the indices whose bit k is clear
+        pat = (1 << blk) - 1
+        width = blk * 2
+        while width < total:
+            pat |= pat << width
+            width *= 2
+        table ^= (table & pat) << blk
+    return table
+
+
+def bit_positions(bits: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending.
+
+    Scans the little-endian bytes once and takes the lowest set bit of each
+    nonzero byte in turn, so the cost is linear in the width plus the number
+    of set bits.
+    """
+    out = []
+    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+        base = i << 3
+        while byte:
+            low = byte & -byte
+            out.append(base + low.bit_length() - 1)
+            byte ^= low
+    return out

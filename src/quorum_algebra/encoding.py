@@ -14,6 +14,14 @@ and difference of the encoded sets are computed on those factored forms,
 where gcds of trailing monomials and idempotent products of cofactors are
 plain bitmask operations; expand() gives the ordinary Polynomial.
 
+The characteristic polynomial of a whole set system, the product of
+(xi_S + 1) over its members S with xi_S the member's characteristic
+polynomial, is not multiplied out either. The xi_S of distinct members are
+orthogonal idempotents, so the product is 1 + sum of xi_S, and its
+coefficient on the squarefree monomial x^T is [T empty] plus the parity of
+the number of members contained in T. system_char_poly reads all of these
+coefficients off one F2 subset-sum transform of the member bitset.
+
 The relation polynomials at the bottom tie separate variable blocks
 together: containment_poly vanishes where one support contains another,
 overlap_poly where supports meet, uncovered_meet_poly where a meet escapes
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Monomial, Polynomial, Variable
+from .algebra import Monomial, Polynomial, Variable, bit_positions, gf2_zeta
 
 
 @dataclass(frozen=True)
@@ -293,10 +301,28 @@ def system_char_poly(system: SetSystem, block: str) -> Polynomial:
     else every factor is 1. The zero set over the block is therefore exactly
     the encoded system. For the system of all 2^n subsets the product is the
     zero polynomial.
+
+    Nothing is multiplied out. The characteristic polynomials xi_S of
+    distinct supports are orthogonal idempotents of the Boolean ring
+    (xi_S^2 = xi_S, xi_S * xi_S' = 0), so the product equals
+    1 + sum of xi_S, and xi_S is the sum of the monomials x^T over all
+    T containing S. The coefficient of x^T is therefore
+    [T empty] + #{S in system : S subset of T} mod 2: the F2 subset-sum
+    transform of the member bitset, with the constant 1 added afterwards.
     """
     n = system.n
-    one = Polynomial.one(n)
-    return bool_product((CharPoly(m, block).expand() + one for m in system), n)
+    table = 0
+    for m in system:
+        table |= 1 << m.mask
+    coeffs = gf2_zeta(table, n) ^ 1
+    variables = [Variable(block, i) for i in range(1, n + 1)]
+    return Polynomial(
+        n,
+        (
+            Monomial.of(*(variables[k] for k in bit_positions(t)))
+            for t in bit_positions(coeffs)
+        ),
+    )
 
 
 def containment_poly(n: int, outer_block: str, inner_block: str) -> Polynomial:

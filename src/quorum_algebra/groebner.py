@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from .algebra import BlockLexOrder, Monomial, Polynomial, Variable
+from .algebra import BlockLexOrder, Monomial, Polynomial, Variable, bit_positions, gf2_zeta
 
 
 class _ExponentOverflow(Exception):
@@ -631,16 +631,6 @@ def standard_monomial_count(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _mobius_pattern(level_width: int, total_bits: int) -> int:
-    """Bitset pattern marking indices whose given bit is clear."""
-    pat = (1 << level_width) - 1
-    width = level_width * 2
-    while width < total_bits:
-        pat |= pat << width
-        width *= 2
-    return pat
-
-
 def _truth_table_bitset(g: Polynomial, var_pos: dict[Variable, int], v: int) -> int:
     """Bitset over all 2^v points with bit p set when g(point p) = 1.
 
@@ -654,12 +644,7 @@ def _truth_table_bitset(g: Polynomial, var_pos: dict[Variable, int], v: int) -> 
         for var in m.variables():
             mask |= 1 << var_pos[var]
         acc ^= 1 << mask
-    total = 1 << v
-    for k in range(v):
-        blk = 1 << k
-        pat = _mobius_pattern(blk, total)
-        acc ^= (acc & pat) << blk
-    return acc
+    return gf2_zeta(acc, v)
 
 
 def variety_enumerate(
@@ -687,9 +672,4 @@ def variety_enumerate(
                 raise ValueError(f"generator variable {var} outside {blocks} x {n}")
         nonzero |= _truth_table_bitset(g, var_pos, v)
     zeros = ~nonzero & ((1 << total) - 1)
-    buf = zeros.to_bytes((total + 7) // 8, "little")
-    points = []
-    for p in range(total):
-        if (buf[p >> 3] >> (p & 7)) & 1:
-            points.append(tuple((p >> k) & 1 for k in range(v)))
-    return frozenset(points)
+    return frozenset(tuple((p >> k) & 1 for k in range(v)) for p in bit_positions(zeros))

@@ -10,7 +10,9 @@ from quorum_algebra.algebra import (
     ParseError,
     Polynomial,
     Variable,
+    bit_positions,
     format_polynomial,
+    gf2_zeta,
     parse_polynomial,
 )
 
@@ -233,3 +235,18 @@ def test_parse_format_round_trip(f):
     if f.is_zero:
         return
     assert parse_polynomial(format_polynomial(f, ORDER), N) == f
+
+
+@given(st.integers(0, 4), st.data())
+def test_gf2_zeta_sums_over_subsets(v, data):
+    table = data.draw(st.integers(0, (1 << (1 << v)) - 1))
+    out = gf2_zeta(table, v)
+    for t in range(1 << v):
+        parity = sum(table >> s & 1 for s in range(1 << v) if s & t == s) & 1
+        assert out >> t & 1 == parity
+    assert gf2_zeta(out, v) == table
+
+
+@given(st.integers(0, 1 << 200))
+def test_bit_positions_lists_set_bits_ascending(bits):
+    assert bit_positions(bits) == [k for k in range(bits.bit_length()) if bits >> k & 1]

@@ -1,13 +1,13 @@
 """Tests for incidence encodings, characteristic polynomials and relation polynomials."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import seeded
-from quorum_algebra.algebra import Polynomial, Variable
+from quorum_algebra.algebra import BLOCKS, Polynomial, Variable
 from quorum_algebra.encoding import (
     CharPoly,
     ProcessSubset,
@@ -24,6 +24,7 @@ from quorum_algebra.encoding import (
     system_char_poly,
     uncovered_meet_poly,
 )
+from quorum_algebra.groebner import variety_enumerate
 from quorum_algebra.oracle import fstar_enumerate
 
 subsets = st.integers(1, 5).flatmap(
@@ -97,18 +98,56 @@ def test_char_poly_monomials():
 
 def test_system_char_poly_vanishes_exactly_on_members():
     rng = seeded(21)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        members = {rng.randint(0, (1 << n) - 1) for _ in range(rng.randint(1, 4))}
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        members = set(rng.sample(range(1 << n), rng.randint(1, 1 << n)))
         system = SetSystem(n, (ProcessSubset(m, n) for m in members))
         f = system_char_poly(system, "x")
         for mask in range(1 << n):
             assert f.evaluate(point(n, x=mask)) == (0 if mask in members else 1)
 
 
+def _system_char_poly_by_definition(system, block):
+    """The product of (char poly + 1) over the members, multiplied out."""
+    one = Polynomial.one(system.n)
+    return bool_product((char_poly(m, block).expand() + one for m in system), system.n)
+
+
+def test_system_char_poly_matches_its_definition():
+    rng = seeded(23)
+    cases = []
+    for n in range(1, 7):
+        full = 1 << n
+        cases += [
+            (n, []),
+            (n, [0]),
+            (n, [rng.randrange(full)]),
+            (n, [0] + rng.sample(range(1, full), rng.randint(1, full - 1))),
+        ]
+        cases += [(n, rng.sample(range(full), rng.randint(1, full))) for _ in range(3)]
+    for k, (n, masks) in enumerate(cases):
+        system = SetSystem(n, (ProcessSubset(m, n) for m in masks))
+        block = BLOCKS[k % len(BLOCKS)]
+        f = system_char_poly(system, block)
+        assert f == _system_char_poly_by_definition(system, block), (n, masks, block)
+        if not masks:
+            assert f.is_one
+
+
 def test_system_char_poly_of_full_powerset_is_zero():
-    system = SetSystem(2, (ProcessSubset(m, 2) for m in range(4)))
-    assert system_char_poly(system, "x").is_zero
+    for n in (2, 3, 5):
+        system = SetSystem(n, (ProcessSubset(m, n) for m in range(1 << n)))
+        for block in BLOCKS:
+            assert system_char_poly(system, block).is_zero
+            assert _system_char_poly_by_definition(system, block).is_zero
+
+
+def test_system_char_poly_at_twelve_processes():
+    system = SetSystem.from_lists(12, combinations(range(1, 13), 4))
+    assert len(system) == 495
+    f = system_char_poly(system, "x")
+    assert len(f) == 3005
+    assert variety_enumerate([f], ("x",), 12) == {m.vector for m in system}
 
 
 def test_factored_intersection_union_difference():
