@@ -7,8 +7,8 @@ monomial has coefficient 1), so addition is symmetric difference of term
 sets. The Boolean quotient, where every variable is idempotent, is applied
 on demand via boolean_reduce: the canonical external form of a polynomial
 is squarefree, but ordinary-ring products with exponents above 1 remain
-representable because Groebner computation runs in the plain polynomial
-ring with the field polynomials v^2 + v adjoined separately.
+representable, for input text such as x1*x1 and for the field polynomials
+v^2 + v that the Groebner engine reports for the zero ideal.
 
 Monomial comparison is block lexicographic: blocks are compared in the
 sequence defined by a BlockLexOrder (most significant block first), and

@@ -134,13 +134,15 @@ class SetSystem:
                 raise TypeError(f"member {m!r} is not a ProcessSubset")
             if m.n != n:
                 raise ValueError(f"member over n={m.n}, system over n={n}")
-        if len({m.mask for m in ms}) != len(ms):
+        masks = [m.mask for m in ms]
+        if len(set(masks)) != len(ms):
             raise ValueError("duplicate members in set system")
         self._n = n
         self._members = ms
+        # members are distinct, so a meet equal to either mask is a strict containment
         self.is_antichain = not any(
-            a.mask & b.mask == a.mask for a, b in combinations(ms, 2)
-        ) and not any(b.mask & a.mask == b.mask for a, b in combinations(ms, 2))
+            (meet := a & b) == a or meet == b for a, b in combinations(masks, 2)
+        )
 
     @classmethod
     def from_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> "SetSystem":

@@ -1,22 +1,34 @@
-"""Buchberger's algorithm over F2 and the counting tools built on it.
+"""Buchberger's algorithm in the Boolean ring and the counting tools built on it.
 
-The engine works in the ordinary polynomial ring: the field polynomials
-v^2 + v for every ambient variable are appended to each basis, so exponents
-can transiently exceed 1 while the emitted, inter-reduced basis is Boolean
-(squarefree) apart from field polynomials, which are stripped from the
-report unless nothing else remains.
-
-Internally a monomial is a single int holding one small exponent field per
-variable, with the most significant variable in the highest bits. Integer
-comparison of packed monomials therefore IS the block lexicographic
-comparison, and divisibility, lcm and gcd are word-parallel bit tricks. A
-polynomial is a tuple of packed monomials in descending order, so the
+The engine works in F2[x]/<x^2 + x>, where every variable is idempotent, so
+no exponent ever exceeds 1. Internally a monomial is a squarefree bitmask
+int: variable p of order.variables(n) sits on bit v-1-p, the most
+significant variable on the highest bit, so integer comparison of masks IS
+the block lexicographic comparison. The Boolean product of two monomials is
+their OR, d divides m when d & ~m == 0, and the cofactor of d in m is
+m & ~d. A polynomial is a tuple of masks in descending order, so the
 leading monomial is element 0.
 
-Pair selection is the normal strategy: minimal lcm total degree, ties by
-the order on the lcm, then by insertion sequence, which makes runs
-reproducible. The coprime and chain criteria can be toggled; the reduced
-basis is the same either way, which the test suite checks.
+The field polynomials x^2 + x never enter the basis. The S-polynomial of an
+element g with x^2 + x, reduced by the field polynomials, is the Boolean
+product x*g, so for each variable x of LM(g) the engine queues that field
+pair and reduces it like an S-polynomial (Brickenstein and Dreyer,
+PolyBoRi, J. Symb. Comput. 44(9), 2009). It is not queued when x divides
+every term of g, since then x*g = g; for x outside LM(g) the leading
+monomials are coprime. The reduced Boolean basis is the ordinary-ring
+reduced basis of the ideal plus all field polynomials with those field
+polynomials left out, so the report lists them only when nothing else
+remains, for the zero ideal.
+
+Pair selection is the normal strategy: minimal lcm degree, ties by the
+order on the lcm, then by insertion sequence, which makes runs
+reproducible; a field pair's lcm in the ordinary ring is LM(g) * x, one
+degree above LM(g). The coprime criterion drops pairs whose leading
+monomials share no variable before they are queued. The chain criterion
+(Gebauer and Moeller, J. Symb. Comput. 6, 1988) drops a pair when another
+element's leading monomial divides its lcm and both side pairs are done,
+coprime pairs counting as done. Both can be toggled; the reduced basis is
+the same either way, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -28,221 +40,117 @@ from typing import Collection, Iterable, Sequence
 from .algebra import BlockLexOrder, Monomial, Polynomial, Variable, bit_positions, gf2_zeta
 
 
-class _ExponentOverflow(Exception):
-    """Internal: a packed exponent field overflowed; retry with wider fields."""
-
-
-class _Context:
-    """Packing and word-parallel arithmetic for one (order, n) ambient."""
-
-    __slots__ = ("order", "n", "w", "vars", "v", "pos", "shifts", "H", "ONES", "SEL", "EXP_MAX")
-
-    def __init__(self, order: BlockLexOrder, n: int, exp_bits: int = 4):
-        self.order = order
-        self.n = n
-        self.w = exp_bits
-        self.vars = order.variables(n)
-        self.v = len(self.vars)
-        self.pos = {var: i for i, var in enumerate(self.vars)}
-        # position 0 is most significant, so it gets the highest field
-        self.shifts = [(self.v - 1 - p) * exp_bits for p in range(self.v)]
-        self.H = sum(1 << (s + exp_bits - 1) for s in self.shifts)
-        self.ONES = sum(1 << s for s in self.shifts)
-        self.SEL = (1 << (exp_bits - 1)) - 1
-        self.EXP_MAX = (1 << (exp_bits - 1)) - 1
-
-    def pack_monomial(self, m: Monomial) -> int:
-        acc = 0
-        for var, e in m.exponents:
-            p = self.pos.get(var)
-            if p is None:
-                raise ValueError(f"variable {var} outside ambient {self.order.blocks} x {self.n}")
-            if e > self.EXP_MAX:
-                raise _ExponentOverflow()
-            acc |= e << self.shifts[p]
-        return acc
-
-    def unpack_monomial(self, pm: int) -> Monomial:
-        w = self.w
-        fmask = (1 << w) - 1
-        exps = {}
-        for p, var in enumerate(self.vars):
-            e = (pm >> self.shifts[p]) & fmask
-            if e:
-                exps[var] = e
-        return Monomial(exps)
-
-    def pack_polynomial(self, f: Polynomial) -> tuple[int, ...]:
-        return tuple(sorted((self.pack_monomial(m) for m in f.terms), reverse=True))
-
-    def unpack_polynomial(self, terms: Sequence[int]) -> Polynomial:
-        return Polynomial(self.n, (self.unpack_monomial(t) for t in terms))
-
-    # all helpers assume operands carry cleared guard bits
-
-    def divides(self, d: int, m: int) -> bool:
-        H = self.H
-        return ((m | H) - d) & H == H
-
-    def mul(self, a: int, b: int) -> int:
-        s = a + b
-        if s & self.H:
-            raise _ExponentOverflow()
-        return s
-
-    def lcm(self, a: int, b: int) -> int:
-        H = self.H
-        d = ((a | H) - b) & H
-        sel = (d >> (self.w - 1)) * self.SEL
-        return (a & sel) | (b & ~sel)
-
-    def gcd(self, a: int, b: int) -> int:
-        H = self.H
-        d = ((a | H) - b) & H
-        sel = (d >> (self.w - 1)) * self.SEL
-        return (b & sel) | (a & ~sel)
-
-    def nonzero_fields(self, a: int) -> int:
-        return ((a | self.H) - self.ONES) & self.H
-
-    def coprime(self, a: int, b: int) -> bool:
-        return self.nonzero_fields(a) & self.nonzero_fields(b) == 0
-
-    def total_degree(self, m: int) -> int:
-        w = self.w
-        fmask = (1 << w) - 1
-        s = 0
-        while m:
-            s += m & fmask
-            m >>= w
-        return s
-
-    def support_positions(self, m: int) -> list[int]:
-        w = self.w
-        out = []
-        nz = self.nonzero_fields(m)
-        while nz:
-            low = nz & -nz
-            nz -= low
-            fn = (low.bit_length() - w) // w  # field number, 0 = least significant
-            out.append(self.v - 1 - fn)       # convert to position in self.vars
-        return out
-
-    def support_mask(self, m: int) -> int:
-        """Bit k set when variable at position k of self.vars occurs in m."""
-        w = self.w
-        mask = 0
-        nz = self.nonzero_fields(m)
-        while nz:
-            low = nz & -nz
-            nz -= low
-            mask |= 1 << ((low.bit_length() - w) // w)
-        return mask
-
-    def is_squarefree(self, m: int) -> bool:
-        # doubling any exponent must not overflow, and exponents <= 1 means m+m has no
-        # bit above the lowest of each field; cheaper: compare against clamp
-        w = self.w
-        fmask = (1 << w) - 1
-        while m:
-            if m & fmask > 1:
-                return False
-            m >>= w
-        return True
-
-    def field_polynomials(self) -> list[tuple[int, ...]]:
-        out = []
-        for p in range(self.v):
-            s = self.shifts[p]
-            out.append((2 << s, 1 << s))
-        return out
-
-
-def _spoly_packed(f: Sequence[int], g: Sequence[int], ctx: _Context) -> tuple[int, ...]:
-    l = ctx.lcm(f[0], g[0])
-    cf = l - f[0]
-    cg = l - g[0]
-    H = ctx.H
+def _pack(g: Polynomial, bits: dict[Variable, int]) -> tuple[int, ...]:
+    """Masks of the Boolean image of g, descending; terms with equal masks cancel."""
     acc: set[int] = set()
-    for t in f:
-        s = cf + t
-        if s & H:
-            raise _ExponentOverflow()
-        if s in acc:
-            acc.discard(s)
-        else:
-            acc.add(s)
-    for t in g:
-        s = cg + t
-        if s & H:
-            raise _ExponentOverflow()
-        if s in acc:
-            acc.discard(s)
-        else:
-            acc.add(s)
+    for m in g.terms:
+        mask = 0
+        for var, _ in m.exponents:
+            mask |= bits[var]
+        acc ^= {mask}
     return tuple(sorted(acc, reverse=True))
 
 
-def _normal_form_packed(
-    terms: Collection[int],
-    basis: Sequence[tuple[int, ...]],
-    lms: Sequence[int],
-    buckets: dict[int, list[int]],
-    ctx: _Context,
+def _unpack(terms: Sequence[int], variables: Sequence[Variable], n: int) -> Polynomial:
+    top = len(variables) - 1
+    return Polynomial(
+        n, (Monomial.of(*(variables[top - b] for b in bit_positions(t))) for t in terms)
+    )
+
+
+def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
+    """Boolean S-polynomial; the leading terms cancel, so only the tails are scaled."""
+    cf = g[0] & ~f[0]
+    cg = f[0] & ~g[0]
+    acc: set[int] = set()
+    for c, tail in ((cf, f[1:]), (cg, g[1:])):
+        for t in tail:
+            s = c | t
+            if s in acc:
+                acc.discard(s)
+            else:
+                acc.add(s)
+    return acc
+
+
+def _field_spoly(g: Sequence[int], x: int) -> list[int]:
+    """x*g + g: the terms t of g without x, each with t*x; none of them collide."""
+    return [u for t in g if not t & x for u in (t, t | x)]
+
+
+_SUPERSETS = tuple(tuple(u for u in range(16) if u & a == a) for a in range(16))
+
+
+class _Divisors:
+    """Which elements' leading monomials divide a given monomial.
+
+    Masks are cut into 4-bit chunks; rows[k][u] is the bitset of element
+    indices whose leading monomial, restricted to chunk k, is a subset of u.
+    The elements whose leading monomial divides m are the AND over the
+    chunks of m's entries, with no loop over the elements.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, v: int):
+        self.rows = [[0] * 16 for _ in range((v + 3) // 4)]
+
+    def add(self, idx: int, lm: int) -> None:
+        bit = 1 << idx
+        for row in self.rows:
+            for u in _SUPERSETS[lm & 15]:
+                row[u] |= bit
+            lm >>= 4
+
+    def of(self, m: int) -> int:
+        found = -1
+        for row in self.rows:
+            found &= row[m & 15]
+            m >>= 4
+        return found
+
+
+def _normal_form(
+    terms: Collection[int], basis: Sequence[tuple[int, ...]], divisors: _Divisors
 ) -> tuple[int, ...]:
-    """Full reduction: no output monomial is divisible by any basis leading monomial."""
+    """Full reduction: no output monomial is divisible by any basis leading monomial.
+
+    Each term is reduced by the lowest-indexed element whose leading monomial
+    divides it. A step scales that element by the cofactor c; for a tail term
+    t < LM the product c | t stays below c | LM, so terms only decrease.
+    """
     if not terms:
         return ()
-    H = ctx.H
-    ONES = ctx.ONES
-    w = ctx.w
-    v = ctx.v
     work = set(terms)
-    heap = [-t for t in terms]
+    heap = [-t for t in work]
     heapq.heapify(heap)
     out: list[int] = []
     pop = heapq.heappop
     push = heapq.heappush
-    # bucket -1 holds constant elements, which divide every monomial
-    const_bucket = buckets.get(-1)
+    rows = divisors.rows
     while heap:
         m = -pop(heap)
         if m not in work:
             continue
-        red = const_bucket[0] if const_bucket else -1
-        nz = ((m | H) - ONES) & H
-        while nz:
-            low = nz & -nz
-            nz -= low
-            fn = (low.bit_length() - w) // w
-            bucket = buckets.get(fn)
-            if bucket:
-                mH = m | H
-                for idx in bucket:
-                    if (mH - lms[idx]) & H == H and (red < 0 or idx < red):
-                        red = idx
-        if red < 0:
+        found = -1  # divisors.of(m), inlined: this runs once per term
+        rest = m
+        for row in rows:
+            found &= row[rest & 15]
+            rest >>= 4
+        if not found:
             work.discard(m)
             out.append(m)
             continue
-        c = m - lms[red]
-        for t in basis[red]:
-            s = c + t
-            if s & H:
-                raise _ExponentOverflow()
+        red = basis[(found & -found).bit_length() - 1]
+        c = m & ~red[0]
+        for t in red:
+            s = c | t
             if s in work:
                 work.discard(s)
             else:
                 work.add(s)
-                if s != m:
-                    push(heap, -s)
+                push(heap, -s)
     return tuple(out)
-
-
-def _bucket_key(ctx: _Context, lm: int) -> int:
-    """Field number of the most significant variable of lm."""
-    nz = ctx.nonzero_fields(lm)
-    return (nz.bit_length() - ctx.w) // ctx.w
 
 
 @dataclass(frozen=True)
@@ -371,60 +279,80 @@ def chain_criterion(
 
 
 def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOrder) -> Polynomial:
-    """Full normal form of f against the given set (no implicit field polynomials)."""
+    """Full normal form of f against the given set (no implicit field polynomials).
+
+    Works in the ordinary ring by repeated reduce_once, always with the first
+    reducer whose leading monomial divides, and shares no code with the
+    engine, so tests can check the engine's output with it.
+    """
     polys = [g for g in reducers if not g.is_zero]
-    n = f.n
     for g in polys:
-        if g.n != n:
+        if g.n != f.n:
             raise ValueError("ambient dimension mismatch")
-    for exp_bits in (4, 8, 16):
-        ctx = _Context(order, n, exp_bits)
-        try:
-            packed = [ctx.pack_polynomial(g) for g in polys]
-            lms = [p[0] for p in packed]
-            buckets: dict[int, list[int]] = {}
-            for idx, lm in enumerate(lms):
-                buckets.setdefault(_bucket_key(ctx, lm), []).append(idx)
-            res = _normal_form_packed(ctx.pack_polynomial(f), packed, lms, buckets, ctx)
-            return ctx.unpack_polynomial(res)
-        except _ExponentOverflow:
-            continue
-    raise RuntimeError("exponent overflow at maximal field width")
+    lms = [g.leading_monomial(order) for g in polys]
+    rest = f
+    out: list[Monomial] = []
+    while not rest.is_zero:
+        lm = rest.leading_monomial(order)
+        for g, d in zip(polys, lms):
+            if d.divides(lm):
+                rest = reduce_once(rest, g, order)
+                break
+        else:
+            out.append(lm)
+            rest = rest + Polynomial(f.n, (lm,))
+    return Polynomial(f.n, out)
 
 
 def _run_buchberger(
-    B: IdealBasis, ctx: _Context, use_coprime: bool, use_chain: bool
+    B: IdealBasis, bits: dict[Variable, int], use_coprime: bool, use_chain: bool
 ) -> list[tuple[int, ...]]:
+    v = len(bits)
     basis: list[tuple[int, ...]] = []
-    lms: list[int] = []
-    buckets: dict[int, list[int]] = {}
+    divisors = _Divisors(v)
+    # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
+    # with basis[j] (i < j), j < 0 is the field pair of basis[i] and the
+    # variable on bit ~j.
     heap: list[tuple[int, int, int, int, int]] = []
-    processed: set[tuple[int, int]] = set()
     seq = 0
+    # For the chain criterion: done[i] is the bitset of k whose pair with i
+    # has been popped or, under the coprime criterion, was never queued;
+    # field_done[b] is the bitset of i whose field pair with the variable x
+    # on bit b has been popped or is never queued: x is not in LM_i, or x
+    # divides every term of basis[i].
+    done: list[int] = []
+    field_done = [0] * v
 
     def add_poly(p: tuple[int, ...]) -> None:
         nonlocal seq
         idx = len(basis)
-        basis.append(p)
+        bit = 1 << idx
         lm = p[0]
-        lms.append(lm)
-        buckets.setdefault(_bucket_key(ctx, lm), []).append(idx)
-        for i in range(idx):
-            l = ctx.lcm(lms[i], lm)
-            heapq.heappush(heap, (ctx.total_degree(l), l, seq, i, idx))
+        coprime = 0
+        for i, q in enumerate(basis):
+            if use_coprime and not q[0] & lm:
+                done[i] |= bit
+                coprime |= 1 << i
+                continue
+            l = q[0] | lm
+            heapq.heappush(heap, (l.bit_count(), l, seq, i, idx))
             seq += 1
+        basis.append(p)
+        divisors.add(idx, lm)
+        done.append(coprime)
+        for b in range(v):
+            x = 1 << b
+            if not lm & x or all(t & x for t in p):
+                field_done[b] |= bit
+            else:
+                heapq.heappush(heap, (lm.bit_count() + 1, lm, seq, idx, ~b))
+                seq += 1
 
-    def pack(g: Polynomial) -> tuple[int, ...]:
-        return ctx.pack_polynomial(g.boolean_reduce())
-
-    for p in map(pack, B.generators):
+    for p in (_pack(g, bits) for g in B.generators):
         if p:
             add_poly(p)
-    for fp in ctx.field_polynomials():
-        add_poly(fp)
-    products = iter([[pack(f) for f in factors] for factors in B.products])
+    products = iter([[_pack(f, bits) for f in factors] for factors in B.products])
 
-    divides = ctx.divides
     while True:
         # A product waits until the pairs run out, then is reduced modulo that
         # Groebner basis after every factor: it stays small, and it differs from
@@ -433,102 +361,78 @@ def _run_buchberger(
             factors = next(products, None)
             if factors is None:
                 break
-            acc: tuple[int, ...] = (0,)  # the packed constant 1
+            acc: Collection[int] = (0,)  # the constant 1
             for f in factors:
                 terms: set[int] = set()
                 for a in acc:
                     for b in f:
-                        m = a | b  # lcm, the Boolean product of squarefree monomials
+                        m = a | b
                         if m in terms:
                             terms.discard(m)
                         else:
                             terms.add(m)
-                acc = _normal_form_packed(terms, basis, lms, buckets, ctx)
+                acc = _normal_form(terms, basis, divisors)
                 if not acc:
                     break
             if acc:
-                add_poly(acc)
+                add_poly(tuple(acc))
             continue
         _, l, _, i, j = heapq.heappop(heap)
-        processed.add((i, j))
-        if use_coprime and ctx.coprime(lms[i], lms[j]):
-            continue
-        if use_chain:
-            hit = False
-            fns = [ctx.v - 1 - p for p in ctx.support_positions(l)]
-            fns.append(-1)  # constants divide every lcm
-            for fn in fns:
-                bucket = buckets.get(fn)
-                if not bucket:
-                    continue
-                for k in bucket:
-                    if k == i or k == j or not divides(lms[k], l):
-                        continue
-                    a = (i, k) if i < k else (k, i)
-                    b = (j, k) if j < k else (k, j)
-                    if a in processed and b in processed:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
+        # Chain criterion: some k other than i, j has LM_k | l and both side
+        # pairs done; i and j are in neither done[i] nor done[j].
+        if j >= 0:
+            done[i] |= 1 << j
+            done[j] |= 1 << i
+            if use_chain and divisors.of(l) & done[i] & done[j]:
                 continue
-        r = _normal_form_packed(_spoly_packed(basis[i], basis[j], ctx), basis, lms, buckets, ctx)
+            s = _spoly(basis[i], basis[j])
+        else:
+            field_done[~j] |= 1 << i
+            if use_chain and divisors.of(l) & done[i] & field_done[~j]:
+                continue
+            s = _field_spoly(basis[i], 1 << ~j)
+        r = _normal_form(s, basis, divisors)
         if r:
             add_poly(r)
     return basis
 
 
-def _reduce_basis(basis: list[tuple[int, ...]], ctx: _Context) -> list[tuple[int, ...]]:
-    """Minimalize, then fully inter-reduce tails; output sorted by LM descending."""
-    order_idx = sorted(range(len(basis)), key=lambda k: (basis[k][0], k))
-    kept: list[int] = []
-    kept_lms: list[int] = []
-    for k in order_idx:
-        lm = basis[k][0]
-        if any(ctx.divides(kl, lm) for kl in kept_lms):
-            continue
-        kept.append(k)
-        kept_lms.append(lm)
-    cur: list[tuple[int, ...]] = [basis[k] for k in kept]
-    for pos in range(len(cur)):
-        others = cur[:pos] + cur[pos + 1 :]
-        lms = [p[0] for p in others]
-        buckets: dict[int, list[int]] = {}
-        for idx, lm in enumerate(lms):
-            buckets.setdefault(_bucket_key(ctx, lm), []).append(idx)
-        cur[pos] = _normal_form_packed(cur[pos], others, lms, buckets, ctx)
-    return sorted(cur, key=lambda p: p[0], reverse=True)
+def _reduce_basis(basis: list[tuple[int, ...]], v: int) -> list[tuple[int, ...]]:
+    """Minimalize, then fully reduce every tail; output sorted by LM descending.
+
+    A tail term lies below its own leading monomial, so no element can
+    reduce its own tail, and every element stays a valid reducer while the
+    others are reduced.
+    """
+    kept: list[tuple[int, ...]] = []
+    divisors = _Divisors(v)
+    for p in sorted(basis, key=lambda p: p[0]):
+        if not divisors.of(p[0]):
+            divisors.add(len(kept), p[0])
+            kept.append(p)
+    reduced = [(p[0],) + _normal_form(p[1:], kept, divisors) for p in kept]
+    return sorted(reduced, reverse=True)
 
 
 def buchberger(
     B: IdealBasis, *, use_coprime: bool = True, use_chain: bool = True
 ) -> GroebnerCertificate:
-    """Reduced Groebner basis of <generators, products, field polynomials>.
+    """Reduced Boolean Groebner basis of <generators, products>.
 
-    Field polynomials are stripped from the reported basis unless they are
-    its only content. The standard monomial count is over squarefree
-    monomials in all ambient variables, so it equals the size of the variety
-    in the Boolean quotient.
+    The field polynomials are reported only for the zero ideal, where they
+    are the whole ordinary-ring basis. The standard monomial count is over
+    squarefree monomials in all ambient variables, so it equals the size of
+    the variety in the Boolean quotient.
     """
-    for exp_bits in (4, 8, 16):
-        ctx = _Context(B.order, B.n, exp_bits)
-        try:
-            raw = _run_buchberger(B, ctx, use_coprime, use_chain)
-            reduced = _reduce_basis(raw, ctx)
-            break
-        except _ExponentOverflow:
-            continue
+    variables = B.order.variables(B.n)
+    v = len(variables)
+    bits = {var: 1 << (v - 1 - p) for p, var in enumerate(variables)}
+    reduced = _reduce_basis(_run_buchberger(B, bits, use_coprime, use_chain), v)
+    if reduced:
+        polys = tuple(_unpack(p, variables, B.n) for p in reduced)
     else:
-        raise RuntimeError("exponent overflow at maximal field width")
-
-    field_set = set(ctx.field_polynomials())
-    reported = [p for p in reduced if p not in field_set]
-    if not reported and reduced:
-        reported = reduced
-    polys = tuple(ctx.unpack_polynomial(p) for p in reported)
-    masks = [ctx.support_mask(p[0]) for p in reported if ctx.is_squarefree(p[0])]
-    count = _sm_count_masks(masks, ctx.v)
+        polys = tuple(field_polynomials(B.order.blocks, B.n))
+    count = _sm_count_masks([p[0] for p in reduced], v)
     return GroebnerCertificate(basis=polys, order=B.order, n=B.n, sm_count=count)
 
 

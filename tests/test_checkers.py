@@ -1,8 +1,11 @@
 """Tests for the quorum-system property checkers."""
 
+import hashlib
+import json
 from functools import reduce
 from itertools import product
 from operator import or_
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +21,12 @@ from quorum_algebra.checkers import (
     check_q4,
     threshold_system,
 )
+from quorum_algebra.algebra import format_polynomial
 from quorum_algebra.encoding import SetSystem
 from quorum_algebra.groebner import variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
+
+PINNED_BASES = Path(__file__).parent / "golden" / "threshold_bases.json"
 
 TWO_SUBSETS = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
 SINGLETONS = SetSystem.from_lists(3, [[1], [2], [3]])
@@ -286,3 +292,48 @@ def test_q3_matches_threshold_existence():
             diss = check_consistency_dissemination(quorums, fail_prone).holds
             avail = check_availability(quorums, fail_prone).holds
             assert (diss and avail) == (3 * f < n)
+
+
+def threshold_basis_digests():
+    """SHA-256 of every checker's formatted reduced basis and sm_count.
+
+    Covers threshold systems at n=3..5, f=0..2 for the three kinds. Classical
+    and dissemination systems coincide, and q3/q4 read only the fail-prone
+    sets, so each distinct computation runs once. Left out for time: masking
+    on the n=5, f=2 classical system (about 4 s) and q4 at n=5, f=2 (minutes).
+    """
+    checks = {
+        "consistency": lambda q, fp: check_consistency_classical(q),
+        "consistency-trivial": lambda q, fp: check_consistency_classical(q, "trivial-ideal"),
+        "availability": check_availability,
+        "dissemination": check_consistency_dissemination,
+        "masking": check_consistency_masking,
+        "q3": lambda q, fp: check_q3(fp),
+        "q4": lambda q, fp: check_q4(fp),
+    }
+    seen = {}
+    table = {}
+    for kind in ("classical", "dissemination", "masking"):
+        for n in range(3, 6):
+            for f in range(3):
+                try:
+                    quorums, fail_prone = threshold_system(n, f, kind)
+                except ThresholdError:
+                    continue
+                for name, check in checks.items():
+                    if n == 5 and f == 2 and (name == "q4" or (name == "masking" and kind != "masking")):
+                        continue
+                    reads = (fail_prone,) if name in ("q3", "q4") else (quorums, fail_prone)
+                    key = (name, tuple(tuple(m.mask for m in s) for s in reads))
+                    if key not in seen:
+                        cert = check(quorums, fail_prone).certificate
+                        text = "".join(f"{format_polynomial(g, cert.order)}\n" for g in cert.basis)
+                        seen[key] = hashlib.sha256(f"{text}{cert.sm_count}".encode()).hexdigest()
+                    table[f"{kind} n={n} f={f} {name}"] = seen[key]
+    return table
+
+
+def test_threshold_bases_are_pinned():
+    # the table was recorded with the earlier ordinary-ring engine, which
+    # adjoined the field polynomials to every basis
+    assert threshold_basis_digests() == json.loads(PINNED_BASES.read_text(encoding="utf-8"))

@@ -186,6 +186,12 @@ def test_groebner_empty_input_is_the_zero_ideal(capsys):
     code, out, _ = run(["groebner", "--polys", "", "--n", "3"], capsys)
     assert code == 0
     assert out.endswith("standard monomials: 8\n")
+    # the one report that prints field polynomials
+    code, out, _ = run(["groebner", "--polys", "", "--n", "2"], capsys)
+    assert code == 0
+    assert out == (
+        "order: x\nn: 2\nreduced basis:\n  x1^2 + x1\n  x2^2 + x2\nstandard monomials: 4\n"
+    )
 
 
 def test_groebner_explicit_order_and_file(tmp_path, capsys):

@@ -80,6 +80,26 @@ def test_set_system_dedup_and_antichain():
     )
 
 
+def test_is_antichain_matches_its_definition():
+    def brute(system):
+        ms = system.members
+        return not any(a != b and a.mask & b.mask == a.mask for a in ms for b in ms)
+
+    rng = seeded(21)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        masks = rng.sample(range(1 << n), rng.randint(1, min(12, 1 << n)))
+        system = SetSystem(n, (ProcessSubset(m, n) for m in masks))
+        assert system.is_antichain == brute(system)
+        # a downward closure with a nonempty member holds the empty set below it
+        if any(masks):
+            closure = fstar_enumerate(system)
+            assert not closure.is_antichain and not brute(closure)
+    for n in range(1, 5):
+        for mask in range(1 << n):
+            assert SetSystem(n, (ProcessSubset(mask, n),)).is_antichain
+
+
 def test_char_poly_is_the_indicator():
     s = ProcessSubset.from_indices((2, 3), 3)
     f = char_poly(s, "y").expand()

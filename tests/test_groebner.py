@@ -117,6 +117,16 @@ def test_buchberger_zero_ideal():
     assert all(not m.is_squarefree for g in cert.basis for m in [g.leading_monomial(X)])
 
 
+def test_boolean_zero_generator_gives_the_field_polynomials():
+    # x1^2 + x1 is nonzero in the ordinary ring but zero in the Boolean ring
+    x1 = Variable("x", 1)
+    g = Polynomial(2, (Monomial({x1: 2}), Monomial({x1: 1})))
+    for order in (X, XY):
+        cert = buchberger(IdealBasis((g,), order, 2))
+        assert cert.basis == tuple(field_polynomials(order.blocks, 2))
+        assert cert.sm_count == 2 ** len(order.variables(2))
+
+
 def test_buchberger_disjoint_quorums_consistency_ideal():
     # two 2-subsets of {1,2,3} always intersect: flipping the overlap factor
     # leaves an empty variety, so the reduced basis collapses to {1}
@@ -165,12 +175,18 @@ def test_spolys_of_output_reduce_to_zero():
         if not gens:
             continue
         cert = buchberger(IdealBasis(gens, X, 3))
-        reducers = list(cert.basis) + field_polynomials(("x",), 3)
+        fields = field_polynomials(("x",), 3)
+        reducers = list(cert.basis) + fields
         for i in range(len(cert.basis)):
             for j in range(i):
                 s = spoly(cert.basis[i], cert.basis[j], X)
                 if not s.is_zero:
                     assert normal_form(s, reducers, X).is_zero
+        # the field pairs: each basis element against x^2 + x for x in its LM
+        for g in cert.basis:
+            for var in g.leading_monomial(X).variables():
+                field = fields[var.index - 1]
+                assert normal_form(spoly(g, field, X), reducers, X).is_zero
 
 
 def _assert_fold_matches_expansion(gens, products, order, n):
@@ -349,7 +365,7 @@ def test_variety_agrees_with_direct_evaluation():
 
 
 def test_exponent_overflow_retries():
-    # degree 16 in one variable forces the packed width up from 3 bits
+    # exponents above 1 collapse in the Boolean ring: x1^16 = x1
     f = Polynomial(1, (Monomial({Variable("x", 1): 16}), Monomial.one()))
     cert = buchberger(IdealBasis((f,), X, 1))
     assert cert.basis == (p("x1 + 1", 1),)
