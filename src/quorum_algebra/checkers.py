@@ -1,17 +1,12 @@
 """Quorum-system property checkers built on Groebner basis certificates.
 
-Each checker encodes its property as a polynomial ideal whose variety over
-the Boolean cube is the set of tuples witnessing the property, computes a
-reduced Groebner basis, and compares the standard monomial count with the
-count the property predicts; the two are equal exactly when the property
-holds. Classical consistency also has a trivial-ideal route, which flips
+Every property is one entry of PROPERTIES: the characteristic polynomials
+of the input systems on named variable blocks, plus one relation product
+tying the blocks together. The ideal's variety over the Boolean cube is the
+set of tuples witnessing the property, so the property holds exactly when
+the reduced Groebner basis has as many standard monomials as the property
+predicts. Classical consistency also has a trivial-ideal route, which flips
 the overlap constraint and holds exactly when the reduced basis is {1}.
-
-Block conventions: two-block checkers use x, y; availability eliminates the
-quorum block with the order y > x and counts standard monomials of the
-x sub-basis; dissemination adds the fail-prone block t; masking uses x, y
-for quorums, z for complements of fail-prone sets and t for the downward
-closure; the coverage conditions use one block per quorum/fail-prone slot.
 """
 
 from __future__ import annotations
@@ -20,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .algebra import BlockLexOrder, Polynomial
 from .encoding import (
@@ -61,6 +57,68 @@ class Verdict:
         return f"{self.observed_count} {'=' if self.holds else '!='} {self.expected_count}"
 
 
+@dataclass(frozen=True)
+class Property:
+    """The ideal that decides one property.
+
+    reads: the input systems, in argument order. order: the blocks, most
+    significant first. encodes: the set system on each block, one of
+    "quorums", "fail_prone", "complements" (of the fail-prone sets) or
+    "downset" (the downward closure F*, entered as the downset_poly
+    product). relation(n): the factors of the product tying the blocks
+    together; with flip, product + 1 enters as a generator instead. The
+    expected count is the product of the sizes of the systems on the count
+    blocks (all blocks when None).
+    """
+
+    label: str
+    reads: tuple[str, ...]
+    order: tuple[str, ...]
+    encodes: tuple[tuple[str, str], ...]
+    relation: Callable[[int], tuple[Polynomial, ...]]
+    flip: bool = False
+    count: tuple[str, ...] | None = None
+
+
+# The relations look up the encoding builders when a check runs, so
+# wrappers set on those module names see every call.
+PROPERTIES: dict[str, Property] = {
+    "consistency": Property(
+        "classical-consistency", ("quorums",), ("x", "y"),
+        (("x", "quorums"), ("y", "quorums")),
+        lambda n: overlap_poly(n, "x", "y"),
+    ),
+    # y > x, so the x sub-basis is the elimination ideal of the quorum block.
+    "availability": Property(
+        "availability", ("quorums", "fail_prone"), ("y", "x"),
+        (("x", "fail_prone"), ("y", "quorums")),
+        lambda n: overlap_poly(n, "x", "y"), flip=True, count=("x",),
+    ),
+    "dissemination": Property(
+        "dissemination-consistency", ("quorums", "fail_prone"), ("x", "y", "t"),
+        (("x", "quorums"), ("y", "quorums"), ("t", "downset")),
+        lambda n: uncovered_meet_poly(n, ("x", "y"), "t"),
+    ),
+    "masking": Property(
+        "masking-consistency", ("quorums", "fail_prone"), ("x", "y", "z", "t"),
+        (("x", "quorums"), ("y", "quorums"), ("z", "complements"), ("t", "downset")),
+        lambda n: uncovered_meet_poly(n, ("x", "y", "z"), "t"),
+    ),
+    "q3": Property(
+        "q3", ("fail_prone",), ("x", "y", "t"),
+        (("x", "fail_prone"), ("y", "fail_prone"), ("t", "fail_prone")),
+        lambda n: cover_poly(n, ("x", "y", "t")),
+    ),
+    "q4": Property(
+        "q4", ("fail_prone",), ("x", "y", "z", "t"),
+        (("x", "fail_prone"), ("y", "fail_prone"), ("z", "fail_prone"), ("t", "fail_prone")),
+        lambda n: cover_poly(n, ("x", "y", "z", "t")),
+    ),
+}
+
+_NOUNS = {"quorums": "quorum", "fail_prone": "fail_prone"}
+
+
 def _resolve_budget(var_budget: int | None) -> int:
     if var_budget is not None:
         return var_budget
@@ -73,7 +131,12 @@ def _resolve_budget(var_budget: int | None) -> int:
     return DEFAULT_VAR_BUDGET
 
 
-def _check_budget(blocks: int, n: int, var_budget: int | None) -> None:
+def enforce_var_budget(blocks: int, n: int, var_budget: int | None = None) -> None:
+    """Raise VariableBudgetError when blocks * n variables exceed the budget.
+
+    The budget is var_budget, else the QA_VAR_BUDGET environment variable,
+    else DEFAULT_VAR_BUDGET.
+    """
     budget = _resolve_budget(var_budget)
     total = blocks * n
     if total > budget:
@@ -82,14 +145,53 @@ def _check_budget(blocks: int, n: int, var_budget: int | None) -> None:
         )
 
 
-def _nonzero(polys: list[Polynomial]) -> tuple[Polynomial, ...]:
-    return tuple(p for p in polys if not p.is_zero)
+def _members(source: str, systems: dict[str, SetSystem]) -> SetSystem:
+    """The set system an encodes entry puts on its block."""
+    if source == "complements":
+        return systems["fail_prone"].complements()
+    if source == "downset":
+        return fstar_enumerate(systems["fail_prone"])
+    return systems[source]
 
 
-def _require_nonempty(**systems: SetSystem) -> None:
-    for name, system in systems.items():
+def _decide(
+    name: str, inputs: tuple[SetSystem, ...], var_budget: int | None, method: str = "sm-count"
+) -> Verdict:
+    """Validate the inputs, build the property's ideal and compare its count."""
+    prop = PROPERTIES[name]
+    systems = dict(zip(prop.reads, inputs))
+    for key, system in systems.items():
         if len(system) == 0:
-            raise ValueError(f"empty {name} system")
+            raise ValueError(f"empty {_NOUNS[key]} system")
+    if len({system.n for system in inputs}) > 1:
+        raise ValueError("quorums and fail-prone system must share the ambient n")
+    n = inputs[0].n
+    enforce_var_budget(len(prop.order), n, var_budget)
+    if method not in ("sm-count", "trivial-ideal"):
+        raise ValueError(f"unknown method {method!r}")
+
+    gens: list[Polynomial] = []
+    products: list[tuple[Polynomial, ...]] = []
+    for block, source in prop.encodes:
+        if source == "downset":
+            products.append(downset_poly(systems["fail_prone"], block))
+        else:
+            gens.append(system_char_poly(_members(source, systems), block))
+    relation = prop.relation(n)
+    if prop.flip or method == "trivial-ideal":
+        gens.append(bool_product(relation, n) + Polynomial.one(n))
+    else:
+        products.append(relation)
+    nonzero = tuple(g for g in gens if not g.is_zero)
+    cert = buchberger(IdealBasis(nonzero, BlockLexOrder(prop.order), n, products=tuple(products)))
+
+    counted = prop.count or prop.order
+    expected = math.prod(len(_members(s, systems)) for b, s in prop.encodes if b in counted)
+    if method == "trivial-ideal":
+        trivial = len(cert.basis) == 1 and cert.basis[0].is_one
+        return Verdict(prop.label, trivial, expected, None, cert, method)
+    observed = cert.sm_count if prop.count is None else cert.sm_count_for(prop.count)
+    return Verdict(prop.label, observed == expected, expected, observed, cert, method)
 
 
 def check_consistency_classical(
@@ -101,23 +203,7 @@ def check_consistency_classical(
     have exactly |Q|^2 points. trivial-ideal: flipping the overlap factor to
     its complement leaves no variety at all, so the reduced basis is {1}.
     """
-    _require_nonempty(quorum=quorums)
-    n = quorums.n
-    _check_budget(2, n, var_budget)
-    order = BlockLexOrder(("x", "y"))
-    gens = [system_char_poly(quorums, "x"), system_char_poly(quorums, "y")]
-    expected = len(quorums) ** 2
-    if method == "sm-count":
-        cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=(overlap_poly(n, "x", "y"),)))
-        return Verdict(
-            "classical-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, method
-        )
-    if method == "trivial-ideal":
-        gens.append(bool_product(overlap_poly(n, "x", "y"), n) + Polynomial.one(n))
-        cert = buchberger(IdealBasis(_nonzero(gens), order, n))
-        trivial = len(cert.basis) == 1 and cert.basis[0].is_one
-        return Verdict("classical-consistency", trivial, expected, None, cert, method)
-    raise ValueError(f"unknown method {method!r}")
+    return _decide("consistency", (quorums,), var_budget, method)
 
 
 def check_availability(
@@ -131,22 +217,7 @@ def check_availability(
     many fail-prone sets kept a disjoint quorum; availability holds when
     none went missing.
     """
-    _require_nonempty(quorum=quorums, fail_prone=fail_prone)
-    if quorums.n != fail_prone.n:
-        raise ValueError("quorums and fail-prone system must share the ambient n")
-    n = quorums.n
-    _check_budget(2, n, var_budget)
-    order = BlockLexOrder(("y", "x"))
-    one = Polynomial.one(n)
-    gens = [
-        system_char_poly(fail_prone, "x"),
-        system_char_poly(quorums, "y"),
-        bool_product(overlap_poly(n, "x", "y"), n) + one,
-    ]
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n))
-    observed = cert.sm_count_for(("x",))
-    expected = len(fail_prone)
-    return Verdict("availability", observed == expected, expected, observed, cert, "sm-count")
+    return _decide("availability", (quorums, fail_prone), var_budget)
 
 
 def check_consistency_dissemination(
@@ -159,19 +230,7 @@ def check_consistency_dissemination(
     quorum meet is not covered by t. All |Q|^2 * |F*| triples survive
     exactly when the property holds.
     """
-    _require_nonempty(quorum=quorums, fail_prone=fail_prone)
-    if quorums.n != fail_prone.n:
-        raise ValueError("quorums and fail-prone system must share the ambient n")
-    n = quorums.n
-    _check_budget(3, n, var_budget)
-    order = BlockLexOrder(("x", "y", "t"))
-    gens = [system_char_poly(quorums, "x"), system_char_poly(quorums, "y")]
-    products = (downset_poly(fail_prone, "t"), uncovered_meet_poly(n, ("x", "y"), "t"))
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=products))
-    expected = len(quorums) ** 2 * len(fstar_enumerate(fail_prone))
-    return Verdict(
-        "dissemination-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count"
-    )
+    return _decide("dissemination", (quorums, fail_prone), var_budget)
 
 
 def check_consistency_masking(
@@ -184,46 +243,17 @@ def check_consistency_masking(
     keeps the quadruples realizing the property. All |Q|^2 * |F| * |F*|
     quadruples survive exactly when the property holds.
     """
-    _require_nonempty(quorum=quorums, fail_prone=fail_prone)
-    if quorums.n != fail_prone.n:
-        raise ValueError("quorums and fail-prone system must share the ambient n")
-    n = quorums.n
-    _check_budget(4, n, var_budget)
-    order = BlockLexOrder(("x", "y", "z", "t"))
-    gens = [
-        system_char_poly(quorums, "x"),
-        system_char_poly(quorums, "y"),
-        system_char_poly(fail_prone.complements(), "z"),
-    ]
-    products = (downset_poly(fail_prone, "t"), uncovered_meet_poly(n, ("x", "y", "z"), "t"))
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=products))
-    expected = len(quorums) ** 2 * len(fail_prone) * len(fstar_enumerate(fail_prone))
-    return Verdict(
-        "masking-consistency", cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count"
-    )
+    return _decide("masking", (quorums, fail_prone), var_budget)
 
 
 def check_q3(fail_prone: SetSystem, var_budget: int | None = None) -> Verdict:
     """No three fail-prone sets cover all processes."""
-    return _check_cover("q3", fail_prone, ("x", "y", "t"), var_budget)
+    return _decide("q3", (fail_prone,), var_budget)
 
 
 def check_q4(fail_prone: SetSystem, var_budget: int | None = None) -> Verdict:
     """No four fail-prone sets cover all processes."""
-    return _check_cover("q4", fail_prone, ("x", "y", "z", "t"), var_budget)
-
-
-def _check_cover(
-    prop: str, fail_prone: SetSystem, blocks: tuple[str, ...], var_budget: int | None
-) -> Verdict:
-    _require_nonempty(fail_prone=fail_prone)
-    n = fail_prone.n
-    _check_budget(len(blocks), n, var_budget)
-    order = BlockLexOrder(blocks)
-    gens = [system_char_poly(fail_prone, b) for b in blocks]
-    cert = buchberger(IdealBasis(_nonzero(gens), order, n, products=(cover_poly(n, blocks),)))
-    expected = len(fail_prone) ** len(blocks)
-    return Verdict(prop, cert.sm_count == expected, expected, cert.sm_count, cert, "sm-count")
+    return _decide("q4", (fail_prone,), var_budget)
 
 
 def threshold_system(

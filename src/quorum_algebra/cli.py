@@ -20,6 +20,7 @@ import time
 
 from .algebra import BlockLexOrder, ParseError, format_polynomial, parse_polynomial
 from .checkers import (
+    PROPERTIES,
     ThresholdError,
     Verdict,
     check_availability,
@@ -28,6 +29,7 @@ from .checkers import (
     check_consistency_masking,
     check_q3,
     check_q4,
+    enforce_var_budget,
     threshold_system,
 )
 from .encoding import SetSystem
@@ -45,18 +47,6 @@ from .oracle import (
 
 class InputError(ValueError):
     """Bad input file or option combination; maps to exit code 2."""
-
-
-PROPERTIES = ("consistency", "availability", "dissemination", "masking", "q3", "q4")
-
-_NEEDS = {
-    "consistency": ("quorums",),
-    "availability": ("quorums", "fail_prone"),
-    "dissemination": ("quorums", "fail_prone"),
-    "masking": ("quorums", "fail_prone"),
-    "q3": ("fail_prone",),
-    "q4": ("fail_prone",),
-}
 
 
 def load_system_file(path: str) -> tuple[int, SetSystem | None, SetSystem | None]:
@@ -95,55 +85,37 @@ def load_system_file(path: str) -> tuple[int, SetSystem | None, SetSystem | None
     return n, build("quorums"), build("fail_prone")
 
 
-def _run_algebraic(prop: str, quorums: SetSystem | None, fail_prone: SetSystem | None) -> Verdict:
-    if prop == "consistency":
-        return check_consistency_classical(quorums)
-    if prop == "availability":
-        return check_availability(quorums, fail_prone)
-    if prop == "dissemination":
-        return check_consistency_dissemination(quorums, fail_prone)
-    if prop == "masking":
-        return check_consistency_masking(quorums, fail_prone)
-    if prop == "q3":
-        return check_q3(fail_prone)
-    return check_q4(fail_prone)
-
-
-def _run_oracle(prop: str, quorums: SetSystem | None, fail_prone: SetSystem | None) -> OracleReport:
-    if prop == "consistency":
-        return oracle_consistency_classical(quorums)
-    if prop == "availability":
-        return oracle_availability(quorums, fail_prone)
-    if prop == "dissemination":
-        return oracle_consistency_dissemination(quorums, fail_prone)
-    if prop == "masking":
-        return oracle_consistency_masking(quorums, fail_prone)
-    if prop == "q3":
-        return oracle_q3(fail_prone)
-    return oracle_q4(fail_prone)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     n, quorums, fail_prone = load_system_file(args.input)
-    needs = _NEEDS[args.property]
+    reads = PROPERTIES[args.property].reads
     present = {"quorums": quorums, "fail_prone": fail_prone}
-    for key in needs:
+    for key in reads:
         if present[key] is None:
             raise InputError(f"property '{args.property}' needs '{key}' in the input file")
+    systems = [present[key] for key in reads]
+    # Built per call from this module's names, so wrappers set on them see the call.
+    checker, oracle = {
+        "consistency": (check_consistency_classical, oracle_consistency_classical),
+        "availability": (check_availability, oracle_availability),
+        "dissemination": (check_consistency_dissemination, oracle_consistency_dissemination),
+        "masking": (check_consistency_masking, oracle_consistency_masking),
+        "q3": (check_q3, oracle_q3),
+        "q4": (check_q4, oracle_q4),
+    }[args.property]
 
     verdict: Verdict | None = None
     report: OracleReport | None = None
     if args.method in ("algebraic", "both"):
         t0 = time.perf_counter()
         try:
-            verdict = _run_algebraic(args.property, quorums, fail_prone)
+            verdict = checker(*systems)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         print(f"timing: algebraic {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     if args.method in ("oracle", "both"):
         t0 = time.perf_counter()
         try:
-            report = _run_oracle(args.property, quorums, fail_prone)
+            report = oracle(*systems)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         print(f"timing: oracle {time.perf_counter() - t0:.3f}s", file=sys.stderr)
@@ -157,10 +129,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.fmt == "json-like":
         doc: dict = {"property": args.property, "n": n}
-        if "quorums" in needs:
-            doc["quorums"] = [list(m.indices) for m in quorums]
-        if "fail_prone" in needs:
-            doc["fail_prone"] = [list(m.indices) for m in fail_prone]
+        for key in reads:
+            doc[key] = [list(m.indices) for m in present[key]]
         doc["method"] = args.method
         if verdict is not None:
             doc["algebraic"] = {
@@ -179,10 +149,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
     else:
         lines = [f"property: {args.property}", f"n: {n}"]
-        if "quorums" in needs:
-            lines.append(f"quorums: {len(quorums)} sets")
-        if "fail_prone" in needs:
-            lines.append(f"fail_prone: {len(fail_prone)} sets")
+        lines += [f"{key}: {len(present[key])} sets" for key in reads]
         if verdict is not None:
             word = "holds" if verdict.holds else "fails"
             lines.append(f"algebraic: {word} ({verdict.counts_str()})")
@@ -223,6 +190,7 @@ def cmd_groebner(args: argparse.Namespace) -> int:
         blocks = tuple(b.strip() for b in args.order.split(","))
     try:
         order = BlockLexOrder(blocks)
+        enforce_var_budget(len(order.blocks), n)
         gens = tuple(parse_polynomial(piece, n) for piece in pieces)
         basis = IdealBasis(gens, order, n)
     except (ParseError, ValueError) as exc:
@@ -291,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="decide a property for an input file")
-    check.add_argument("property", choices=PROPERTIES)
+    check.add_argument("property", choices=list(PROPERTIES))
     check.add_argument("--input", required=True, help="JSON system file")
     check.add_argument("--method", choices=("algebraic", "oracle", "both"), default="both")
     check.add_argument(

@@ -166,14 +166,9 @@ class IdealBasis:
     generators: tuple[Polynomial, ...]
     order: BlockLexOrder
     n: int
-    blocks: tuple[str, ...] = ()
     products: tuple[tuple[Polynomial, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        blocks = self.blocks or self.order.blocks
-        if set(blocks) != set(self.order.blocks):
-            raise ValueError("declared blocks must match the order's blocks")
-        object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "products", tuple(tuple(p) for p in self.products))
         for g in self.generators:
             self._check(g, "generator")
@@ -188,8 +183,8 @@ class IdealBasis:
             raise TypeError(f"{what} {g!r} is not a Polynomial")
         if g.n != self.n:
             raise ValueError(f"{what} ambient {g.n} != declared {self.n}")
-        if not g.blocks() <= set(self.blocks):
-            raise ValueError(f"{what} {g} uses blocks outside {self.blocks}")
+        if not g.blocks() <= set(self.order.blocks):
+            raise ValueError(f"{what} {g} uses blocks outside {self.order.blocks}")
 
 
 @dataclass
@@ -249,33 +244,6 @@ def spoly(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
     c1 = Polynomial(f1.n, (l.divide(lm1),))
     c2 = Polynomial(f2.n, (l.divide(lm2),))
     return c1 * f1 + c2 * f2
-
-
-def coprime_criterion(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> bool:
-    """True when the leading monomials share no variable, so the pair is skippable."""
-    lm1 = f1.leading_monomial(order)
-    lm2 = f2.leading_monomial(order)
-    return lm1.gcd(lm2).is_one
-
-
-def chain_criterion(
-    i: int,
-    j: int,
-    basis: Sequence[Polynomial],
-    processed: Iterable[tuple[int, int]],
-    order: BlockLexOrder,
-) -> bool:
-    """True when some third element divides the pair lcm and both side pairs are done."""
-    done = {(min(a, b), max(a, b)) for a, b in processed}
-    l = basis[i].leading_monomial(order).lcm(basis[j].leading_monomial(order))
-    for k, g in enumerate(basis):
-        if k == i or k == j:
-            continue
-        if not g.leading_monomial(order).divides(l):
-            continue
-        if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-            return True
-    return False
 
 
 def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOrder) -> Polynomial:

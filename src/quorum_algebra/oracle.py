@@ -10,7 +10,7 @@ first position found under the deterministic member ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .encoding import ProcessSubset, SetSystem
 
@@ -77,27 +77,20 @@ def oracle_consistency_masking(quorums: SetSystem, fail_prone: SetSystem) -> Ora
 
 def oracle_q3(fail_prone: SetSystem) -> OracleReport:
     """No three fail-prone sets (repetition allowed) cover all processes."""
-    fs = _sets(fail_prone)
-    universe = frozenset(range(1, fail_prone.n + 1))
-    for f1 in fs:
-        for f2 in fs:
-            for f3 in fs:
-                if f1 | f2 | f3 == universe:
-                    return OracleReport("q3", False, (f1, f2, f3))
-    return OracleReport("q3", True)
+    return _no_cover("q3", fail_prone, 3)
 
 
 def oracle_q4(fail_prone: SetSystem) -> OracleReport:
     """No four fail-prone sets (repetition allowed) cover all processes."""
-    fs = _sets(fail_prone)
+    return _no_cover("q4", fail_prone, 4)
+
+
+def _no_cover(label: str, fail_prone: SetSystem, k: int) -> OracleReport:
     universe = frozenset(range(1, fail_prone.n + 1))
-    for f1 in fs:
-        for f2 in fs:
-            for f3 in fs:
-                for f4 in fs:
-                    if f1 | f2 | f3 | f4 == universe:
-                        return OracleReport("q4", False, (f1, f2, f3, f4))
-    return OracleReport("q4", True)
+    for sets in product(_sets(fail_prone), repeat=k):
+        if frozenset().union(*sets) == universe:
+            return OracleReport(label, False, sets)
+    return OracleReport(label, True)
 
 
 def fstar_enumerate(fail_prone: SetSystem) -> SetSystem:

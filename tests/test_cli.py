@@ -5,6 +5,7 @@ import json
 import pytest
 
 from quorum_algebra import cli
+from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
 from quorum_algebra.oracle import OracleReport
 
@@ -108,10 +109,19 @@ def test_check_json_like_witness(tmp_path, capsys):
 
 
 def test_check_missing_required_system(tmp_path, capsys):
-    path = write_input(tmp_path, {"n": 3, "quorums": [[1, 2]]})
-    code, _, err = run(["check", "availability", "--input", path], capsys)
-    assert code == 2
-    assert "needs 'fail_prone'" in err
+    for prop, spec in PROPERTIES.items():
+        for key in spec.reads:
+            doc = {k: v for k, v in TRIANGLE.items() if k != key}
+            path = write_input(tmp_path, doc)
+            code, out, err = run(["check", prop, "--input", path], capsys)
+            assert code == 2 and out == ""
+            assert f"property '{prop}' needs '{key}'" in err
+
+
+def test_property_choices_are_the_registry():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    check = sub.choices["check"]
+    assert next(a for a in check._actions if a.dest == "property").choices == list(PROPERTIES)
 
 
 @pytest.mark.parametrize(
@@ -157,16 +167,31 @@ def test_check_is_deterministic(tmp_path, capsys):
     assert len(outs) == 2
 
 
+def wrap_cli(monkeypatch, prefix, after):
+    """Rebind every name of cli starting with prefix to call after on its result."""
+    for name in [k for k in vars(cli) if k.startswith(prefix)]:
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *systems, real=real: after(real(*systems)))
+
+
 def test_cross_validation_disagreement(tmp_path, capsys, monkeypatch):
     path = write_input(tmp_path, TRIANGLE)
+    wrap_cli(monkeypatch, "oracle_", lambda r: OracleReport(r.property, not r.holds, None))
+    for prop in PROPERTIES:
+        code, out, _ = run(["check", prop, "--input", path], capsys)
+        assert code == 3, prop
+        assert out.endswith("verdict: CROSS-VALIDATION FAILURE\n")
 
-    def bogus(prop, quorums, fail_prone):
-        return OracleReport("classical-consistency", False, None)
 
-    monkeypatch.setattr(cli, "_run_oracle", bogus)
-    code, out, _ = run(["check", "consistency", "--input", path], capsys)
-    assert code == 3
-    assert "verdict: CROSS-VALIDATION FAILURE" in out
+def test_verdict_and_oracle_labels_agree(tmp_path, capsys, monkeypatch):
+    path = write_input(tmp_path, TRIANGLE)
+    labels = []
+    for prefix in ("check_", "oracle_"):
+        wrap_cli(monkeypatch, prefix, lambda r: labels.append(r.property) or r)
+    for prop, spec in PROPERTIES.items():
+        labels.clear()
+        run(["check", prop, "--input", path], capsys)
+        assert labels == [spec.label, spec.label]
 
 
 def test_groebner_trivial_ideal(capsys):
@@ -211,6 +236,22 @@ def test_groebner_errors(capsys):
     assert code == 2
     code, _, err = run(["groebner", "--polys", "y1", "--order", "x"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("polys", ["x100000", "x1000000"])
+def test_groebner_variable_budget(capsys, polys):
+    code, out, err = run(["groebner", "--polys", polys], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "over the budget of 24" in err
+
+
+def test_groebner_variable_budget_env(capsys, monkeypatch):
+    code, out, _ = run(["groebner", "--polys", "x1*x30"], capsys)
+    assert code == 2 and out == ""
+    monkeypatch.setenv("QA_VAR_BUDGET", "40")
+    code, out, _ = run(["groebner", "--polys", "x1*x30"], capsys)
+    assert code == 0
+    assert out == f"order: x\nn: 30\nreduced basis:\n  x1*x30\nstandard monomials: {3 * 2**28}\n"
 
 
 def test_gen_threshold_round_trip(tmp_path, capsys):

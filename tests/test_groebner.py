@@ -22,8 +22,6 @@ from quorum_algebra.groebner import (
     GroebnerCertificate,
     IdealBasis,
     buchberger,
-    chain_criterion,
-    coprime_criterion,
     elimination_subbasis,
     field_polynomials,
     normal_form,
@@ -74,23 +72,6 @@ def test_spoly_examples():
     assert spoly(p("x1*x2"), p("x2*x3"), X).is_zero
     with pytest.raises(ValueError):
         spoly(p("x1"), Polynomial.zero(3), X)
-
-
-def test_coprime_criterion_examples():
-    assert coprime_criterion(p("x1 + 1"), p("y1 + 1"), XY)
-    assert not coprime_criterion(p("x1*x2"), p("x2*x3"), X)
-    assert coprime_criterion(p("1"), p("x1"), X)
-
-
-def test_chain_criterion_examples():
-    basis = [p("x1*x2"), p("x2*x3")]
-    assert not chain_criterion(0, 1, basis, [], X)
-    basis = [p("x1*x2"), p("x2*x3"), p("1")]
-    assert chain_criterion(0, 1, basis, [(0, 2), (1, 2)], X)
-    assert not chain_criterion(0, 1, basis, [(0, 2)], X)
-    # the classic three-monomial chain: x1*x3 divides lcm(x1*x2, x2*x3)
-    basis = [p("x1*x2"), p("x2*x3"), p("x1*x3")]
-    assert chain_criterion(0, 1, basis, [(0, 2), (2, 1)], X)
 
 
 def test_buchberger_whole_ring():
