@@ -191,7 +191,8 @@ def cmd_groebner(args: argparse.Namespace) -> int:
     try:
         order = BlockLexOrder(blocks)
         enforce_var_budget(len(order.blocks), n)
-        gens = tuple(parse_polynomial(piece, n) for piece in pieces)
+        # a generator that cancels to zero adds nothing to the ideal
+        gens = tuple(g for g in (parse_polynomial(piece, n) for piece in pieces) if not g.is_zero)
         basis = IdealBasis(gens, order, n)
     except (ParseError, ValueError) as exc:
         raise InputError(str(exc)) from exc

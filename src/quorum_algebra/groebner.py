@@ -22,19 +22,28 @@ remains, for the zero ideal.
 
 Pair selection is the normal strategy: minimal lcm degree, ties by the
 order on the lcm, then by insertion sequence, which makes runs
-reproducible; a field pair's lcm in the ordinary ring is LM(g) * x, one
-degree above LM(g). The coprime criterion drops pairs whose leading
-monomials share no variable before they are queued. The chain criterion
-(Gebauer and Moeller, J. Symb. Comput. 6, 1988) drops a pair when another
-element's leading monomial divides its lcm and both side pairs are done,
-coprime pairs counting as done. Both can be toggled; the reduced basis is
-the same either way, which the test suite checks.
+reproducible. Pairs are installed Gebauer-Moeller style (J. Symb. Comput.
+6, 1988): the criteria act when an element h arrives, not when a pair is
+popped. The pairs of h with the active elements are grouped by lcm.
+Criterion M drops a group when the pair of h with some other element has
+an lcm strictly dividing the group's; criterion F keeps one pair of a
+group, and none when one of them is coprime, as the coprime criterion
+drops those. Criterion B_k drops a pending pair (i, j) when LM(h) divides
+its lcm and neither (i, h) nor (j, h) has the same lcm. A field pair (g, x)
+is the pair of g with x^2 + x, whose ordinary-ring lcm is LM(g) * x^2, one
+degree above LM(g), so the same criteria cover it. An active element whose
+leading monomial LM(h) divides is retired: it gets no new pairs and no
+longer reduces, but its pending pairs are still reduced. The coprime
+criterion and the chain criteria (M, F, B_k and retirement) can be
+toggled; the reduced basis is the same either way, which the test suite
+checks. GroebnerStats counts what a run did.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
 
 from .algebra import BlockLexOrder, Monomial, Polynomial, Variable, bit_positions, gf2_zeta
@@ -85,15 +94,17 @@ class _Divisors:
     """Which elements' leading monomials divide a given monomial.
 
     Masks are cut into 4-bit chunks; rows[k][u] is the bitset of element
-    indices whose leading monomial, restricted to chunk k, is a subset of u.
-    The elements whose leading monomial divides m are the AND over the
-    chunks of m's entries, with no loop over the elements.
+    indices whose leading monomial, restricted to chunk k, is a subset of u,
+    and alive is the bitset of elements not removed. The elements whose
+    leading monomial divides m are alive AND, over the chunks, m's entries,
+    with no loop over the elements.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "alive")
 
     def __init__(self, v: int):
         self.rows = [[0] * 16 for _ in range((v + 3) // 4)]
+        self.alive = 0
 
     def add(self, idx: int, lm: int) -> None:
         bit = 1 << idx
@@ -101,9 +112,13 @@ class _Divisors:
             for u in _SUPERSETS[lm & 15]:
                 row[u] |= bit
             lm >>= 4
+        self.alive |= bit
+
+    def remove(self, idx: int) -> None:
+        self.alive &= ~(1 << idx)
 
     def of(self, m: int) -> int:
-        found = -1
+        found = self.alive
         for row in self.rows:
             found &= row[m & 15]
             m >>= 4
@@ -128,11 +143,12 @@ def _normal_form(
     pop = heapq.heappop
     push = heapq.heappush
     rows = divisors.rows
+    alive = divisors.alive
     while heap:
         m = -pop(heap)
         if m not in work:
             continue
-        found = -1  # divisors.of(m), inlined: this runs once per term
+        found = alive  # divisors.of(m), inlined: this runs once per term
         rest = m
         for row in rows:
             found &= row[rest & 15]
@@ -187,14 +203,39 @@ class IdealBasis:
             raise ValueError(f"{what} {g} uses blocks outside {self.order.blocks}")
 
 
+class GroebnerStats(SimpleNamespace):
+    """What one Buchberger run did; the pairs queued are the pairs reduced
+    plus those criterion B_k removed while pending.
+
+    A SimpleNamespace rather than a dataclass: every start of `qa` imports
+    this module, and building a dataclass costs about a millisecond.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(
+            pairs_queued=0,
+            dropped_coprime=0,
+            dropped_mf=0,  # criteria M and F, when the pair is installed
+            dropped_bk=0,  # criterion B_k, while the pair is pending
+            dropped_field=0,  # field pairs (g, x) with x dividing every term of g
+            reductions_zero=0,
+            reductions_nonzero=0,
+            products_folded=0,
+            retired=0,
+            max_active=0,
+        )
+
+
 @dataclass
 class GroebnerCertificate:
-    """Reduced basis plus the standard monomial count over the full ambient."""
+    """Reduced basis plus the standard monomial count over the full ambient;
+    stats, which equality ignores, counts the work of the run behind them."""
 
     basis: tuple[Polynomial, ...]
     order: BlockLexOrder
     n: int
     sm_count: int
+    stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
     _sub_counts: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False)
 
     @property
@@ -274,47 +315,99 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
 
 def _run_buchberger(
     B: IdealBasis, bits: dict[Variable, int], use_coprime: bool, use_chain: bool
-) -> list[tuple[int, ...]]:
-    v = len(bits)
+) -> tuple[list[tuple[int, ...]], GroebnerStats]:
+    """Boolean Groebner basis of B: the active elements left when the pairs run out."""
+    stats = GroebnerStats()
     basis: list[tuple[int, ...]] = []
-    divisors = _Divisors(v)
+    lms: list[int] = []
+    active: list[int] = []
+    divisors = _Divisors(len(bits))
     # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
-    # with basis[j] (i < j), j < 0 is the field pair of basis[i] and the
-    # variable on bit ~j.
+    # with basis[j], j < 0 is the field pair of basis[i] and the variable
+    # whose mask is -j; its ordinary-ring lcm is LM_i with that variable
+    # squared.
     heap: list[tuple[int, int, int, int, int]] = []
     seq = 0
-    # For the chain criterion: done[i] is the bitset of k whose pair with i
-    # has been popped or, under the coprime criterion, was never queued;
-    # field_done[b] is the bitset of i whose field pair with the variable x
-    # on bit b has been popped or is never queued: x is not in LM_i, or x
-    # divides every term of basis[i].
-    done: list[int] = []
-    field_done = [0] * v
 
     def add_poly(p: tuple[int, ...]) -> None:
         nonlocal seq
         idx = len(basis)
-        bit = 1 << idx
         lm = p[0]
-        coprime = 0
-        for i, q in enumerate(basis):
-            if use_coprime and not q[0] & lm:
-                done[i] |= bit
-                coprime |= 1 << i
-                continue
-            l = q[0] | lm
+        pairs: list[tuple[int, int]] = []  # (lcm, i) for the pairs (i, idx) to queue
+        gone: list[int] = []  # active elements p retires
+        if not use_chain:
+            for i in active:
+                if use_coprime and not lms[i] & lm:
+                    stats.dropped_coprime += 1
+                else:
+                    pairs.append((lms[i] | lm, i))
+        else:
+            # Criterion B_k on the pending pairs.
+            kept = [e for e in heap if e[1] & lm != lm or not _chain_through(e, lm, lms)]
+            if len(kept) != len(heap):
+                stats.dropped_bk += len(heap) - len(kept)
+                heap[:] = kept
+                heapq.heapify(heap)
+            # The new pairs, grouped by lcm L; every member's LM divides L.
+            # Criterion M drops a group when the table holds more divisors of
+            # L than its members: the pair of p with such a divisor has an lcm
+            # strictly dividing L. Criterion F keeps the earliest pair of a
+            # group, and none when a member is coprime with p.
+            first: dict[int, int] = {}
+            size: dict[int, int] = {}
+            coprime: set[int] = set()  # lcms of groups with a coprime member
+            ncoprime = 0
+            for i in active:
+                l = lms[i] | lm
+                if l == lms[i]:
+                    gone.append(i)
+                if use_coprime and not lms[i] & lm:
+                    coprime.add(l)
+                    ncoprime += 1
+                if l in size:
+                    size[l] += 1
+                else:
+                    first[l] = i
+                    size[l] = 1
+            for l, i in first.items():
+                if l not in coprime and divisors.of(l).bit_count() == size[l]:
+                    pairs.append((l, i))
+            stats.dropped_coprime += ncoprime
+            stats.dropped_mf += len(active) - ncoprime - len(pairs)
+        for l, i in pairs:
             heapq.heappush(heap, (l.bit_count(), l, seq, i, idx))
             seq += 1
+        # Field pairs: x*p = p when x divides every term; the rest are the
+        # only pairs with lcm LM(p) * x^2, and criterion M drops all of them
+        # when an active leading monomial divides LM(p).
+        common = lm
+        for t in p:
+            common &= t
+        stats.dropped_field += common.bit_count()
+        fields = lm & ~common
+        if use_chain and fields and divisors.of(lm):
+            stats.dropped_mf += fields.bit_count()
+            fields = 0
+        stats.pairs_queued += len(pairs) + fields.bit_count()
+        degree = lm.bit_count() + 1
+        while fields:
+            x = fields & -fields
+            heapq.heappush(heap, (degree, lm, seq, idx, -x))
+            seq += 1
+            fields ^= x
+        if gone:
+            # Retire the active elements whose leading monomial LM(p) divides:
+            # no new pairs, no reductions; their pending pairs stay queued.
+            for k in gone:
+                divisors.remove(k)
+            stats.retired += len(gone)
+            active[:] = [k for k in active if lms[k] & lm != lm]
         basis.append(p)
+        lms.append(lm)
+        active.append(idx)
         divisors.add(idx, lm)
-        done.append(coprime)
-        for b in range(v):
-            x = 1 << b
-            if not lm & x or all(t & x for t in p):
-                field_done[b] |= bit
-            else:
-                heapq.heappush(heap, (lm.bit_count() + 1, lm, seq, idx, ~b))
-                seq += 1
+        if len(active) > stats.max_active:
+            stats.max_active = len(active)
 
     for p in (_pack(g, bits) for g in B.generators):
         if p:
@@ -329,6 +422,7 @@ def _run_buchberger(
             factors = next(products, None)
             if factors is None:
                 break
+            stats.products_folded += 1
             acc: Collection[int] = (0,)  # the constant 1
             for f in factors:
                 terms: set[int] = set()
@@ -345,24 +439,26 @@ def _run_buchberger(
             if acc:
                 add_poly(tuple(acc))
             continue
-        _, l, _, i, j = heapq.heappop(heap)
-        # Chain criterion: some k other than i, j has LM_k | l and both side
-        # pairs done; i and j are in neither done[i] nor done[j].
-        if j >= 0:
-            done[i] |= 1 << j
-            done[j] |= 1 << i
-            if use_chain and divisors.of(l) & done[i] & done[j]:
-                continue
-            s = _spoly(basis[i], basis[j])
-        else:
-            field_done[~j] |= 1 << i
-            if use_chain and divisors.of(l) & done[i] & field_done[~j]:
-                continue
-            s = _field_spoly(basis[i], 1 << ~j)
+        _, _, _, i, j = heapq.heappop(heap)
+        s = _spoly(basis[i], basis[j]) if j >= 0 else _field_spoly(basis[i], -j)
         r = _normal_form(s, basis, divisors)
         if r:
+            stats.reductions_nonzero += 1
             add_poly(r)
-    return basis
+        else:
+            stats.reductions_zero += 1
+    return [basis[k] for k in active], stats
+
+
+def _chain_through(pair: tuple[int, int, int, int, int], lm: int, lms: Sequence[int]) -> bool:
+    """Criterion B_k for a pending pair whose lcm L the new leading monomial lm
+    divides: true when neither of the pair's elements has lcm L with lm."""
+    _, l, _, i, j = pair
+    if j < 0:
+        # L is LM_i with x squared: the pair of lm with LM_i is squarefree, and
+        # the pair of lm with x^2 + x has lcm (lm | x) with x squared.
+        return lm | -j != l
+    return lms[i] | lm != l and lms[j] | lm != l
 
 
 def _reduce_basis(basis: list[tuple[int, ...]], v: int) -> list[tuple[int, ...]]:
@@ -395,13 +491,16 @@ def buchberger(
     variables = B.order.variables(B.n)
     v = len(variables)
     bits = {var: 1 << (v - 1 - p) for p, var in enumerate(variables)}
-    reduced = _reduce_basis(_run_buchberger(B, bits, use_coprime, use_chain), v)
+    active, stats = _run_buchberger(B, bits, use_coprime, use_chain)
+    reduced = _reduce_basis(active, v)
     if reduced:
         polys = tuple(_unpack(p, variables, B.n) for p in reduced)
     else:
         polys = tuple(field_polynomials(B.order.blocks, B.n))
     count = _sm_count_masks([p[0] for p in reduced], v)
-    return GroebnerCertificate(basis=polys, order=B.order, n=B.n, sm_count=count)
+    return GroebnerCertificate(
+        basis=polys, order=B.order, n=B.n, sm_count=count, stats=stats
+    )
 
 
 def elimination_subbasis(cert: GroebnerCertificate, keep_blocks: tuple[str, ...]) -> tuple[Polynomial, ...]:

@@ -219,6 +219,16 @@ def test_groebner_empty_input_is_the_zero_ideal(capsys):
     )
 
 
+def test_groebner_drops_generators_that_cancel_to_zero(capsys):
+    code, empty, _ = run(["groebner", "--polys", "", "--n", "1"], capsys)
+    assert code == 0
+    for polys in ("x1 + x1", "x1 + x1, 1 + 1"):
+        code, out, err = run(["groebner", "--polys", polys, "--n", "1"], capsys)
+        assert (code, out) == (0, empty), err
+    code, out, _ = run(["groebner", "--polys", "x1 + x1, x1 + 1", "--n", "1"], capsys)
+    assert code == 0 and "  x1 + 1\n" in out
+
+
 def test_groebner_explicit_order_and_file(tmp_path, capsys):
     path = tmp_path / "polys.txt"
     path.write_text("x1*y1 + y1\ny1*y2\n", encoding="utf-8")

@@ -210,17 +210,106 @@ def test_product_fold_edge_cases():
     assert cert.basis == gens and cert.sm_count == 2
 
 
+CRITERIA_SETTINGS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _assert_criteria_agree(basis):
+    reference = buchberger(basis, use_coprime=False, use_chain=False)
+    for coprime, chain in CRITERIA_SETTINGS:
+        cert = buchberger(basis, use_coprime=coprime, use_chain=chain)
+        assert cert.basis == reference.basis, (coprime, chain)
+        assert cert.sm_count == reference.sm_count
+    return reference
+
+
 def test_criteria_do_not_change_the_basis():
     rng = seeded(10)
     for _ in range(25):
         gens = rand_generators(3, ("x", "y"), rng, max_gens=3, max_terms=4)
-        if not gens:
-            continue
-        basis = IdealBasis(gens, XY, 3)
-        reference = buchberger(basis, use_coprime=False, use_chain=False)
-        for coprime in (True, False):
-            for chain in (True, False):
-                assert buchberger(basis, use_coprime=coprime, use_chain=chain).basis == reference.basis
+        if gens:
+            _assert_criteria_agree(IdealBasis(gens, XY, 3))
+
+
+def test_criteria_agree_over_one_to_four_blocks():
+    rng = seeded(17)
+    for _ in range(120):
+        blocks = tuple(rng.sample(("x", "y", "z", "t"), rng.randint(1, 4)))
+        n = rng.randint(1, 3)
+        gens = rand_generators(n, blocks, rng, max_gens=4, max_terms=4)
+        products = tuple(
+            tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2))
+        )
+        reference = _assert_criteria_agree(IdealBasis(gens, BlockLexOrder(blocks), n, products))
+        expanded = [bool_product(f, n) for f in products]
+        assert reference.sm_count == len(variety_enumerate(list(gens) + expanded, blocks, n))
+
+
+def test_criterion_f_keeps_one_pair_of_an_lcm_group():
+    # every pair of these three leading monomials has lcm x1*x2*x3: the pair
+    # of the first two is pending when the third arrives, and of its two
+    # pairs with the same lcm exactly one must still be reduced
+    gens = (p("x1*x2"), p("x2*x3 + x2"), p("x1*x3 + x3"))
+    cert = _assert_criteria_agree(IdealBasis(gens, X, 3))
+    assert cert.basis == (p("x1*x3 + x3"), p("x2"))
+
+
+def test_pending_pair_of_a_retired_element_is_reduced():
+    # x1 + x3 retires x1*x2 + x3 while its pair with x2*x3 + 1 (lcm x1*x2*x3)
+    # is pending; the pair of x1 + x3 with x2*x3 + 1 has the same lcm but is
+    # dropped, because x1*x2 divides it, so the pending pair must survive
+    gens = (p("x1*x2 + x3"), p("x2*x3 + 1"), p("x1 + x3"))
+    cert = _assert_criteria_agree(IdealBasis(gens, X, 3))
+    assert cert.basis == (p("x1 + 1"), p("x2 + 1"), p("x3 + 1"))
+
+
+def test_pending_field_pair_of_a_retired_element_is_reduced():
+    # the second copy retires the first while the first's field pairs with
+    # x2 and x3 are pending; the copy's own field pairs have the same lcms but
+    # are dropped, because the first copy's leading monomial divides x2*x3
+    g = p("x2*x3 + 1")
+    cert = _assert_criteria_agree(IdealBasis((g, g), X, 3))
+    assert cert.basis == (p("x2 + 1"), p("x3 + 1"))
+
+
+def test_stats_balance_and_repeat():
+    rng = seeded(18)
+    ideals = [
+        IdealBasis((p("x1*x2"), p("x2*x3 + x2"), p("x1*x3 + x3")), X, 3),
+        IdealBasis((p("x2*x3 + 1"), p("x2*x3 + 1")), X, 3),
+        IdealBasis((), X, 2),
+    ]
+    for _ in range(40):
+        blocks = tuple(rng.sample(("x", "y", "z"), rng.randint(1, 3)))
+        n = rng.randint(1, 3)
+        gens = rand_generators(n, blocks, rng, max_gens=4, max_terms=4)
+        products = tuple(
+            tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 2))
+        )
+        ideals.append(IdealBasis(gens, BlockLexOrder(blocks), n, products))
+    for basis in ideals:
+        for coprime, chain in CRITERIA_SETTINGS:
+            cert = buchberger(basis, use_coprime=coprime, use_chain=chain)
+            s = cert.stats
+            reduced = s.reductions_zero + s.reductions_nonzero
+            assert s.pairs_queued == reduced + s.dropped_bk
+            assert s.products_folded == len(basis.products)
+            if s.max_active == 0:
+                assert cert.basis == tuple(field_polynomials(basis.order.blocks, basis.n))
+            else:
+                assert len(cert.basis) <= s.max_active
+            if not coprime:
+                assert s.dropped_coprime == 0
+            if not chain:
+                assert s.dropped_mf == s.dropped_bk == s.retired == 0
+            again = buchberger(basis, use_coprime=coprime, use_chain=chain)
+            assert again.stats == s
+            # the counters are not part of the certificate's identity
+            assert again == buchberger(basis, use_coprime=False, use_chain=False)
+    # the two regressions above exercise criterion F and retirement
+    assert buchberger(ideals[0]).stats.dropped_mf >= 1
+    assert buchberger(ideals[1]).stats.retired >= 1
 
 
 def test_ideal_membership_matches_evaluation():
