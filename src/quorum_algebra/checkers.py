@@ -21,7 +21,6 @@ from .algebra import BlockLexOrder, Polynomial
 from .encoding import (
     ProcessSubset,
     SetSystem,
-    bool_product,
     cover_poly,
     downset_poly,
     overlap_poly,
@@ -65,10 +64,12 @@ class Property:
     significant first. encodes: the set system on each block, one of
     "quorums", "fail_prone", "complements" (of the fail-prone sets) or
     "downset" (the downward closure F*, entered as the downset_poly
-    product). relation(n): the factors of the product tying the blocks
-    together; with flip, product + 1 enters as a generator instead. The
-    expected count is the product of the sizes of the systems on the count
-    blocks (all blocks when None).
+    product). relation(n): the factors f_i of the product tying the blocks
+    together. With flip, the ideal takes product + 1 instead, entered as
+    the generators f_i + 1, which generate the same Boolean ideal and are
+    small (x_i * y_i for the overlap factors). The expected count is the
+    product of the sizes of the systems on the count blocks (all blocks
+    when None).
     """
 
     label: str
@@ -179,7 +180,9 @@ def _decide(
             gens.append(system_char_poly(_members(source, systems), block))
     relation = prop.relation(n)
     if prop.flip or method == "trivial-ideal":
-        gens.append(bool_product(relation, n) + Polynomial.one(n))
+        # With g = prod f_j + 1, g * (f_i + 1) = f_i + 1 and g vanishes modulo
+        # every f_i + 1, so the factor complements generate the ideal of g.
+        gens.extend(f + Polynomial.one(n) for f in relation)
     else:
         products.append(relation)
     nonzero = tuple(g for g in gens if not g.is_zero)

@@ -139,6 +139,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "expected_count": verdict.expected_count,
                 "observed_count": verdict.observed_count,
                 "basis_size": len(verdict.certificate.basis),
+                # counters only: they repeat exactly, so stdout stays deterministic
+                "stats": vars(verdict.certificate.stats),
             }
         if report is not None:
             doc["oracle"] = {

@@ -37,6 +37,20 @@ longer reduces, but its pending pairs are still reduced. The coprime
 criterion and the chain criteria (M, F, B_k and retirement) can be
 toggled; the reduced basis is the same either way, which the test suite
 checks. GroebnerStats counts what a run did.
+
+With the coprime criterion on, a prelude solves the generators that live
+in one block before the main loop. Each block is an n-bit field of the
+mask; a block's generators shifted down to the lowest field are its
+system, and each distinct system is solved once by the same pair loop on
+n-bit masks, then reduced and shifted onto every block that carries it.
+The main loop starts from the union of these bases and adds the other
+generators and the products as usual. This is exact: shifting renames
+variables within a block and keeps their order, so a shifted basis is a
+Boolean Groebner basis on its block, and the leading monomials of
+different blocks are coprime, so by the coprime criterion the pairs
+across blocks reduce to zero and the union is a Boolean Groebner basis of
+the sum. The seeded elements therefore get no pairs with each other and
+no field pairs.
 """
 
 from __future__ import annotations
@@ -223,6 +237,8 @@ class GroebnerStats(SimpleNamespace):
             products_folded=0,
             retired=0,
             max_active=0,
+            blocks_solved=0,  # distinct one-block systems solved on their own
+            blocks_reused=0,  # blocks seeded with the basis of an equal system
         )
 
 
@@ -236,7 +252,7 @@ class GroebnerCertificate:
     n: int
     sm_count: int
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
-    _sub_counts: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False)
+    _sub_counts: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def blocks(self) -> tuple[str, ...]:
@@ -318,10 +334,69 @@ def _run_buchberger(
 ) -> tuple[list[tuple[int, ...]], GroebnerStats]:
     """Boolean Groebner basis of B: the active elements left when the pairs run out."""
     stats = GroebnerStats()
-    basis: list[tuple[int, ...]] = []
-    lms: list[int] = []
-    active: list[int] = []
-    divisors = _Divisors(len(bits))
+    gens = [p for p in (_pack(g, bits) for g in B.generators) if p]
+    products = [[_pack(f, bits) for f in factors] for factors in B.products]
+    seeds: list[tuple[int, ...]] = []
+    if use_coprime:
+        gens, seeds = _solve_blocks(gens, B.n, use_chain, stats)
+    return _pair_loop(gens, products, seeds, len(bits), use_coprime, use_chain, stats), stats
+
+
+def _solve_blocks(
+    gens: list[tuple[int, ...]], n: int, use_chain: bool, stats: GroebnerStats
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Solve the generators that live in one block, each distinct system once.
+
+    Blocks are the n-bit fields of a mask. A block's generators, shifted down
+    to the lowest field, are one system; its reduced basis on n-bit masks is
+    shifted back onto every block that carries the same system. Returns the
+    generators left over and the union of the blockwise bases.
+    """
+    rest: list[tuple[int, ...]] = []
+    systems: dict[int, list[tuple[int, ...]]] = {}  # shift -> its generators, shifted down
+    for p in gens:
+        support = 0
+        for t in p:
+            support |= t
+        shift = (support.bit_length() - 1) // n * n
+        if support and support >> shift << shift == support:
+            systems.setdefault(shift, []).append(tuple(t >> shift for t in p))
+        else:
+            rest.append(p)
+    solved: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
+    seeds: list[tuple[int, ...]] = []
+    for shift, system in systems.items():
+        key = frozenset(system)
+        basis = solved.get(key)
+        if basis is None:
+            stats.blocks_solved += 1
+            active = _pair_loop(system, [], [], n, True, use_chain, stats)
+            basis = solved[key] = _reduce_basis(active, n)
+        else:
+            stats.blocks_reused += 1
+        seeds.extend(tuple(t << shift for t in g) for g in basis)
+    return rest, seeds
+
+
+def _pair_loop(
+    gens: list[tuple[int, ...]],
+    products: list[list[tuple[int, ...]]],
+    seeds: list[tuple[int, ...]],
+    v: int,
+    use_coprime: bool,
+    use_chain: bool,
+    stats: GroebnerStats,
+) -> list[tuple[int, ...]]:
+    """Buchberger's pair loop over v-bit masks; returns the active elements
+    left when the pairs run out. seeds must be a Boolean Groebner basis:
+    they are installed without pairs or field pairs."""
+    basis: list[tuple[int, ...]] = list(seeds)
+    lms: list[int] = [p[0] for p in seeds]
+    active: list[int] = list(range(len(seeds)))
+    divisors = _Divisors(v)
+    for idx, lm in enumerate(lms):
+        divisors.add(idx, lm)
+    stats.max_active = max(stats.max_active, len(active))
     # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
     # with basis[j], j < 0 is the field pair of basis[i] and the variable
     # whose mask is -j; its ordinary-ring lcm is LM_i with that variable
@@ -409,17 +484,16 @@ def _run_buchberger(
         if len(active) > stats.max_active:
             stats.max_active = len(active)
 
-    for p in (_pack(g, bits) for g in B.generators):
-        if p:
-            add_poly(p)
-    products = iter([[_pack(f, bits) for f in factors] for factors in B.products])
+    for p in gens:
+        add_poly(p)
+    pending = iter(products)
 
     while True:
         # A product waits until the pairs run out, then is reduced modulo that
         # Groebner basis after every factor: it stays small, and it differs from
         # the expanded product by an ideal element, so the ideal is unchanged.
         if not heap:
-            factors = next(products, None)
+            factors = next(pending, None)
             if factors is None:
                 break
             stats.products_folded += 1
@@ -447,7 +521,7 @@ def _run_buchberger(
             add_poly(r)
         else:
             stats.reductions_zero += 1
-    return [basis[k] for k in active], stats
+    return [basis[k] for k in active]
 
 
 def _chain_through(pair: tuple[int, int, int, int, int], lm: int, lms: Sequence[int]) -> bool:

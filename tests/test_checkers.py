@@ -11,6 +11,7 @@ import pytest
 
 from helpers import rand_system, seeded
 from quorum_algebra.checkers import (
+    PROPERTIES,
     ThresholdError,
     VariableBudgetError,
     check_availability,
@@ -21,9 +22,9 @@ from quorum_algebra.checkers import (
     check_q4,
     threshold_system,
 )
-from quorum_algebra.algebra import format_polynomial
-from quorum_algebra.encoding import SetSystem
-from quorum_algebra.groebner import variety_enumerate
+from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial
+from quorum_algebra.encoding import SetSystem, bool_product, system_char_poly
+from quorum_algebra.groebner import IdealBasis, buchberger, variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
 
 PINNED_BASES = Path(__file__).parent / "golden" / "threshold_bases.json"
@@ -64,6 +65,40 @@ def test_classical_methods_agree():
         assert by_trivial.counts_str() in ("basis = {1}", "basis != {1}")
     with pytest.raises(ValueError, match="unknown method"):
         check_consistency_classical(TWO_SUBSETS, method="magic")
+
+
+def _expanded_flip_certificate(name, systems, n):
+    """The flipped ideal as written before the rewrite: the char polys plus
+    the expanded relation product + 1."""
+    prop = PROPERTIES[name]
+    gens = [system_char_poly(systems[source], block) for block, source in prop.encodes]
+    gens.append(bool_product(prop.relation(n), n) + Polynomial.one(n))
+    nonzero = tuple(g for g in gens if not g.is_zero)
+    return buchberger(IdealBasis(nonzero, BlockLexOrder(prop.order), n))
+
+
+def _assert_flip_matches_expansion(quorums, fail_prone):
+    n = quorums.n
+    systems = {"quorums": quorums, "fail_prone": fail_prone}
+    verdict = check_availability(quorums, fail_prone)
+    assert verdict.certificate == _expanded_flip_certificate("availability", systems, n)
+    verdict = check_consistency_classical(quorums, method="trivial-ideal")
+    assert verdict.certificate == _expanded_flip_certificate("consistency", systems, n)
+
+
+def test_flipped_relation_enters_as_factor_complements():
+    rng = seeded(44)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        _assert_flip_matches_expansion(rand_system(n, rng), rand_system(n, rng))
+    for n in range(1, 7):
+        for f in range(3):
+            for kind in ("classical", "dissemination", "masking"):
+                try:
+                    systems = threshold_system(n, f, kind)
+                except ThresholdError:
+                    continue
+                _assert_flip_matches_expansion(*systems)
 
 
 def test_availability_holds():

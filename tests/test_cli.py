@@ -7,6 +7,7 @@ import pytest
 from quorum_algebra import cli
 from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
+from quorum_algebra.groebner import GroebnerStats
 from quorum_algebra.oracle import OracleReport
 
 
@@ -165,6 +166,26 @@ def test_check_is_deterministic(tmp_path, capsys):
             )
             outs.add((fmt, out))
     assert len(outs) == 2
+
+
+def test_check_json_like_stats(tmp_path, capsys):
+    path = write_input(tmp_path, TRIANGLE)
+    for prop in PROPERTIES:
+        argv = ["check", prop, "--input", path, "--format", "json-like"]
+        out = run(argv, capsys)[1]
+        assert run(argv, capsys)[1] == out
+        doc = json.loads(out)
+        reads = list(PROPERTIES[prop].reads)
+        assert list(doc) == ["property", "n", *reads, "method", "algebraic", "oracle", "verdict"]
+        stats = doc["algebraic"]["stats"]
+        assert list(stats) == list(vars(GroebnerStats()))
+        assert all(type(value) is int for value in stats.values())
+        reduced = stats["reductions_zero"] + stats["reductions_nonzero"]
+        assert stats["pairs_queued"] == reduced + stats["dropped_bk"]
+    # q3 puts one fail-prone system on three blocks and solves it once
+    doc = json.loads(run(["check", "q3", "--input", path, "--format", "json-like"], capsys)[1])
+    stats = doc["algebraic"]["stats"]
+    assert (stats["blocks_solved"], stats["blocks_reused"]) == (1, 2)
 
 
 def wrap_cli(monkeypatch, prefix, after):

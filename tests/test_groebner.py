@@ -303,6 +303,8 @@ def test_stats_balance_and_repeat():
                 assert s.dropped_coprime == 0
             if not chain:
                 assert s.dropped_mf == s.dropped_bk == s.retired == 0
+            if not coprime:
+                assert s.blocks_solved == s.blocks_reused == 0
             again = buchberger(basis, use_coprime=coprime, use_chain=chain)
             assert again.stats == s
             # the counters are not part of the certificate's identity
@@ -310,6 +312,76 @@ def test_stats_balance_and_repeat():
     # the two regressions above exercise criterion F and retirement
     assert buchberger(ideals[0]).stats.dropped_mf >= 1
     assert buchberger(ideals[1]).stats.retired >= 1
+
+
+def _on_block(g, block):
+    """g with every variable moved to the same index of block."""
+    terms = (Monomial.of(*(Variable(block, v.index) for v in m.variables())) for m in g.terms)
+    return Polynomial(g.n, terms)
+
+
+def _seeded_ideal(rng):
+    """Generators over 2-4 blocks: shifted copies of one system, other
+    one-block systems, possibly a block whose basis is {1}, cross-block
+    generators, a constant and 0-2 products."""
+    blocks = tuple(rng.sample(("x", "y", "z", "t"), rng.randint(2, 4)))
+    n = rng.randint(1, 3)
+    shared = rand_generators(n, ("x",), rng, max_gens=3, max_terms=4)
+    gens = []
+    for block in blocks:
+        draw = rng.random()
+        if draw < 0.5:
+            gens += [_on_block(g, block) for g in shared]
+        elif draw < 0.8:
+            gens += rand_generators(n, (block,), rng, max_gens=3, max_terms=4)
+        elif draw < 0.9:
+            one = Variable(block, rng.randint(1, n))
+            gens += [Polynomial.variable(one, n), Polynomial.variable(one, n) + Polynomial.one(n)]
+    rng.shuffle(gens)
+    gens += rand_generators(n, blocks, rng, max_gens=2, max_terms=3)[: rng.randint(0, 2)]
+    if rng.random() < 0.1:
+        gens.append(Polynomial.one(n))
+    products = tuple(
+        tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2))
+    )
+    return IdealBasis(tuple(gens), BlockLexOrder(blocks), n, products)
+
+
+def test_seeded_blocks_match_the_unseeded_run():
+    rng = seeded(19)
+    for _ in range(150):
+        basis = _seeded_ideal(rng)
+        cert = buchberger(basis)
+        for chain in (True, False):
+            reference = buchberger(basis, use_coprime=False, use_chain=chain)
+            assert cert.basis == reference.basis
+            assert cert.sm_count == reference.sm_count
+            assert reference.stats.blocks_solved == reference.stats.blocks_reused == 0
+        expanded = [bool_product(f, basis.n) for f in basis.products]
+        points = variety_enumerate(list(basis.generators) + expanded, basis.order.blocks, basis.n)
+        assert cert.sm_count == len(points)
+
+
+def test_one_system_on_two_blocks_is_solved_once():
+    quorums = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
+    gens = (system_char_poly(quorums, "x"), system_char_poly(quorums, "y"), p("x1*y1"))
+    cert = _assert_criteria_agree(IdealBasis(gens, XY, 3))
+    assert (cert.stats.blocks_solved, cert.stats.blocks_reused) == (0, 0)
+    stats = buchberger(IdealBasis(gens, XY, 3)).stats
+    assert (stats.blocks_solved, stats.blocks_reused) == (1, 1)
+    # a block whose system is unsatisfiable seeds {1}, which decides the ideal
+    unit = (p("y2"), p("y2 + 1"), p("x1*x2 + x3"))
+    cert = buchberger(IdealBasis(unit, XY, 3))
+    assert cert.basis == (Polynomial.one(3),) and cert.stats.blocks_solved == 2
+
+
+def test_certificate_equality_ignores_the_sub_count_memo():
+    basis = IdealBasis((p("x1*y1 + y1", 2),), BlockLexOrder(("y", "x")), 2)
+    a, b = buchberger(basis), buchberger(basis)
+    assert a == b
+    assert b.sm_count_for(("x",)) == 4
+    assert a == b
 
 
 def test_ideal_membership_matches_evaluation():
