@@ -1,35 +1,76 @@
-"""Sparse multivariate polynomials over F2 with block-structured variables.
+"""Boolean polynomials over F2 with block-structured variables.
 
 Variables come in up to four named blocks (x, y, z, t), each indexed from 1
-to an ambient dimension n. A monomial maps variables to positive integer
-exponents; a polynomial over F2 is just a set of monomials (every present
-monomial has coefficient 1), so addition is symmetric difference of term
-sets. The Boolean quotient, where every variable is idempotent, is applied
-on demand via boolean_reduce: the canonical external form of a polynomial
-is squarefree, but ordinary-ring products with exponents above 1 remain
-representable, for input text such as x1*x1 and for the field polynomials
-v^2 + v that the Groebner engine reports for the zero ideal.
+to an ambient dimension n. Every computation happens in the Boolean quotient
+F2[x]/<x^2 + x>, where each variable is idempotent, so a monomial is a
+squarefree product and is stored as an int bitmask, and a polynomial over
+F2 is a set of such masks (every present monomial has coefficient 1).
+Addition is symmetric difference of the term sets and the product of two
+monomials is their OR. Repeated variables in input text such as x1*x1
+clamp to x1.
+
+One layout serves every polynomial over n: the block fields run x, y, z, t
+from the top down, n bits each, and inside a field index 1 sits on the
+highest bit. With blocks in that sequence, integer comparison of masks is
+the block lexicographic comparison.
 
 Monomial comparison is block lexicographic: blocks are compared in the
 sequence defined by a BlockLexOrder (most significant block first), and
 within a block the variable with the smallest index is the most
-significant. Any prefix of the block sequence yields an elimination order
-for the remaining suffix of blocks.
+significant. An order's own layout lists its blocks' fields from the top
+down, so integer comparison of masks moved there by move_fields is that
+order. Any prefix of the block sequence yields an elimination order for
+the remaining suffix of blocks.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 BLOCKS = ("x", "y", "z", "t")
-
-_BLOCK_RANK = {b: r for r, b in enumerate(BLOCKS)}
 
 
 class ParseError(ValueError):
     """Raised when polynomial text does not match the input grammar."""
+
+
+def field_shift(block: str, n: int, layout: Sequence[str] = BLOCKS) -> int:
+    """Lowest bit of block's n-bit field in a layout listing fields top down."""
+    return (len(layout) - 1 - layout.index(block)) * n
+
+
+def move_fields(masks: Iterable[int], src: Sequence[str], dst: Sequence[str], n: int) -> list[int]:
+    """Each mask with every block's n-bit field moved from layout src to layout dst.
+
+    A layout lists blocks from the top field down. Fields of blocks that dst
+    does not list are dropped. Fields move whole and keep their bit order,
+    so adjacent fields that stay adjacent move as one.
+    """
+    moves: list[list[int]] = []  # [src shift, dst shift, width], top run first
+    for b in dst:
+        if b not in src:
+            continue
+        s, d = field_shift(b, n, src), field_shift(b, n, dst)
+        if moves and moves[-1][0] == s + n and moves[-1][1] == d + n:
+            moves[-1][:2] = s, d
+            moves[-1][2] += n
+        else:
+            moves.append([s, d, n])
+    if len(moves) == 1:
+        s, d, w = moves[0]
+        keep = ((1 << w) - 1) << s
+        if s >= d:
+            return [(m & keep) >> (s - d) for m in masks]
+        return [(m & keep) << (d - s) for m in masks]
+    out = []
+    for m in masks:
+        r = 0
+        for s, d, w in moves:
+            r |= (m >> s & ((1 << w) - 1)) << d
+        out.append(r)
+    return out
 
 
 @dataclass(frozen=True, order=True)
@@ -45,6 +86,12 @@ class Variable:
         if self.index < 1:
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
+    def mask(self, n: int) -> int:
+        """The one-variable monomial over ambient dimension n."""
+        if self.index > n:
+            raise ValueError(f"variable {self} exceeds ambient dimension {n}")
+        return 1 << (field_shift(self.block, n) + n - self.index)
+
     def __str__(self) -> str:
         return f"{self.block}{self.index}"
 
@@ -52,121 +99,16 @@ class Variable:
         return f"Variable({self.block!r}, {self.index})"
 
 
-def _canon_var_key(v: Variable) -> tuple[int, int]:
-    return (_BLOCK_RANK[v.block], v.index)
-
-
-class Monomial:
-    """Product of variables with positive exponents; the empty product is 1."""
-
-    __slots__ = ("_exps",)
-
-    def __init__(self, exps: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
-        items = dict(exps)
-        for v, e in items.items():
-            if not isinstance(v, Variable):
-                raise TypeError(f"monomial keys must be Variable, got {v!r}")
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for {v}")
-        self._exps: tuple[tuple[Variable, int], ...] = tuple(
-            sorted(((v, e) for v, e in items.items() if e > 0), key=lambda p: _canon_var_key(p[0]))
-        )
-
-    @classmethod
-    def one(cls) -> "Monomial":
-        return cls()
-
-    @classmethod
-    def of(cls, *variables: Variable) -> "Monomial":
-        """Squarefree monomial on the given variables."""
-        exps: dict[Variable, int] = {}
-        for v in variables:
-            exps[v] = exps.get(v, 0) + 1
-        return cls(exps)
-
-    @property
-    def exponents(self) -> tuple[tuple[Variable, int], ...]:
-        return self._exps
-
-    def exponent(self, v: Variable) -> int:
-        for var, e in self._exps:
-            if var == v:
-                return e
-        return 0
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self._exps)
-
-    def blocks(self) -> frozenset[str]:
-        return frozenset(v.block for v, _ in self._exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self._exps)
-
-    @property
-    def is_one(self) -> bool:
-        return not self._exps
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self._exps)
-
-    def mul(self, other: "Monomial", boolean: bool = False) -> "Monomial":
-        exps = dict(self._exps)
-        for v, e in other._exps:
-            exps[v] = exps.get(v, 0) + e
-        if boolean:
-            exps = {v: 1 for v in exps}
-        return Monomial(exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return self.mul(other)
-
-    def divides(self, other: "Monomial") -> bool:
-        mine = dict(self._exps)
-        theirs = dict(other._exps)
-        return all(theirs.get(v, 0) >= e for v, e in mine.items())
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """Return self / other, requiring exact divisibility."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        exps = dict(self._exps)
-        for v, e in other._exps:
-            exps[v] -= e
-        return Monomial(exps)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        exps = dict(self._exps)
-        for v, e in other._exps:
-            exps[v] = max(exps.get(v, 0), e)
-        return Monomial(exps)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        theirs = dict(other._exps)
-        exps = {v: min(e, theirs.get(v, 0)) for v, e in self._exps}
-        return Monomial(exps)
-
-    def boolean_reduced(self) -> "Monomial":
-        """Clamp every exponent to 1 (the image in the Boolean quotient)."""
-        if self.is_squarefree:
-            return self
-        return Monomial({v: 1 for v, _ in self._exps})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._exps == other._exps
-
-    def __hash__(self) -> int:
-        return hash(self._exps)
-
-    def __str__(self) -> str:
-        if not self._exps:
-            return "1"
-        return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in self._exps)
-
-    def __repr__(self) -> str:
-        return f"Monomial({str(self)})"
+def monomial_text(m: int, n: int) -> str:
+    """Variables of a monomial mask from the highest bit down, '1' when empty."""
+    if not m:
+        return "1"
+    names = []
+    while m:
+        p = m.bit_length() - 1
+        names.append(f"{BLOCKS[len(BLOCKS) - 1 - p // n]}{n - p % n}")
+        m ^= 1 << p
+    return "*".join(names)
 
 
 @dataclass(frozen=True)
@@ -189,18 +131,6 @@ class BlockLexOrder:
             if b not in BLOCKS:
                 raise ValueError(f"unknown block {b!r}")
 
-    def covers(self, m: Monomial) -> bool:
-        return all(b in self.blocks for b in m.blocks())
-
-    def sort_key(self, m: Monomial):
-        """Key whose natural tuple ordering is this monomial order."""
-        per_block: dict[str, list[tuple[int, int]]] = {b: [] for b in self.blocks}
-        for v, e in m.exponents:
-            if v.block not in per_block:
-                raise ValueError(f"monomial {m} uses block {v.block!r} outside {self.blocks}")
-            per_block[v.block].append((-v.index, e))
-        return tuple(tuple(sorted(per_block[b], reverse=True)) for b in self.blocks)
-
     def variables(self, n: int) -> list[Variable]:
         """All ambient variables, most significant first."""
         return [Variable(b, i) for b in self.blocks for i in range(1, n + 1)]
@@ -211,22 +141,22 @@ class BlockLexOrder:
 
 
 class Polynomial:
-    """A set of monomials over F2, tied to an ambient dimension n."""
+    """A set of squarefree monomial masks over F2, tied to an ambient dimension n."""
 
     __slots__ = ("_n", "_terms")
 
-    def __init__(self, n: int, terms: Iterable[Monomial] = ()):
+    def __init__(self, n: int, terms: Iterable[int] = ()):
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
-        folded: set[Monomial] = set()
+        folded: set[int] = set()
         for m in terms:
-            if not isinstance(m, Monomial):
-                raise TypeError(f"terms must be Monomial, got {m!r}")
-            folded.symmetric_difference_update((m,))
-        for m in folded:
-            for v, _ in m.exponents:
-                if v.index > n:
-                    raise ValueError(f"variable {v} exceeds ambient dimension {n}")
+            if m in folded:
+                folded.discard(m)
+            else:
+                folded.add(m)
+        v = len(BLOCKS) * n
+        if folded and (min(folded) < 0 or max(folded) >> v):
+            raise ValueError(f"term outside the {v} variables of ambient dimension {n}")
         self._n = n
         self._terms = frozenset(folded)
 
@@ -236,18 +166,18 @@ class Polynomial:
 
     @classmethod
     def one(cls, n: int) -> "Polynomial":
-        return cls(n, (Monomial.one(),))
+        return cls(n, (0,))
 
     @classmethod
     def variable(cls, v: Variable, n: int) -> "Polynomial":
-        return cls(n, (Monomial.of(v),))
+        return cls(n, (v.mask(n),))
 
     @property
     def n(self) -> int:
         return self._n
 
     @property
-    def terms(self) -> frozenset[Monomial]:
+    def terms(self) -> frozenset[int]:
         return self._terms
 
     @property
@@ -256,7 +186,7 @@ class Polynomial:
 
     @property
     def is_one(self) -> bool:
-        return len(self._terms) == 1 and next(iter(self._terms)).is_one
+        return self._terms == {0}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -264,14 +194,19 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[Monomial]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self._terms)
 
-    def blocks(self) -> frozenset[str]:
-        out: set[str] = set()
+    def support(self) -> int:
+        """Mask of the variables that appear."""
+        acc = 0
         for m in self._terms:
-            out |= m.blocks()
-        return frozenset(out)
+            acc |= m
+        return acc
+
+    def blocks(self) -> frozenset[str]:
+        support, n = self.support(), self._n
+        return frozenset(b for b in BLOCKS if support >> field_shift(b, n) & ((1 << n) - 1))
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
@@ -285,48 +220,60 @@ class Polynomial:
 
     __sub__ = __add__  # characteristic 2
 
-    def mul(self, other: "Polynomial", boolean: bool = False) -> "Polynomial":
-        """Product; with boolean=True exponents clamp to 1 before terms merge."""
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Boolean product: monomials multiply by OR, equal results cancel."""
         self._check_compatible(other)
-        acc: set[Monomial] = set()
+        acc: set[int] = set()
         for a in self._terms:
             for b in other._terms:
-                acc.symmetric_difference_update((a.mul(b, boolean=boolean),))
+                m = a | b
+                if m in acc:
+                    acc.discard(m)
+                else:
+                    acc.add(m)
         return Polynomial(self._n, acc)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return self.mul(other)
-
-    def boolean_reduce(self) -> "Polynomial":
-        """Canonical squarefree representative in the Boolean quotient."""
-        return Polynomial(self._n, (m.boolean_reduced() for m in self._terms))
 
     def evaluate(self, point: Mapping[Variable, int]) -> int:
         """Value at a 0/1 point assigning every variable that appears."""
+        n = self._n
+        assigned = ones = 0
+        for v, bit in point.items():
+            if bit not in (0, 1):
+                raise ValueError(f"non-bit value {bit!r} for {v}")
+            if v.index <= n:
+                m = v.mask(n)
+                assigned |= m
+                if bit:
+                    ones |= m
+        missing = self.support() & ~assigned
+        if missing:
+            raise ValueError(f"point does not assign {monomial_text(missing & -missing, n)}")
         acc = 0
         for m in self._terms:
-            val = 1
-            for v, _ in m.exponents:
-                if v not in point:
-                    raise ValueError(f"point does not assign {v}")
-                bit = point[v]
-                if bit not in (0, 1):
-                    raise ValueError(f"non-bit value {bit!r} for {v}")
-                val &= bit
-                if not val:
-                    break
-            acc ^= val
+            if not m & ~ones:
+                acc ^= 1
         return acc
 
-    def leading_monomial(self, order: BlockLexOrder) -> Monomial:
+    def _ranked(self, order: BlockLexOrder) -> list[tuple[int, int]]:
+        """(mask in the order's layout, mask) per term: the first compares as the order."""
+        outside = self.blocks() - set(order.blocks)
+        if outside:
+            raise ValueError(f"{self} uses blocks {sorted(outside)} outside {order.blocks}")
+        return list(zip(move_fields(self._terms, BLOCKS, order.blocks, self._n), self._terms))
+
+    def descending(self, order: BlockLexOrder) -> list[int]:
+        """The terms, most significant first in the order."""
+        return [m for _, m in sorted(self._ranked(order), reverse=True)]
+
+    def leading_monomial(self, order: BlockLexOrder) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=order.sort_key)
+        return max(self._ranked(order))[1]
 
-    def trailing_monomial(self, order: BlockLexOrder) -> Monomial:
+    def trailing_monomial(self, order: BlockLexOrder) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no trailing monomial")
-        return min(self._terms, key=order.sort_key)
+        return min(self._ranked(order))[1]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -353,20 +300,21 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
 
     Whitespace is insignificant. Variable tokens are a block letter followed
     by a 1-based index; indices above n are rejected. A repeated variable
-    within one term accumulates its exponent in the ordinary ring.
+    within one term counts once, as x*x = x in the Boolean ring.
     """
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty polynomial")
-    terms: list[Monomial] = []
+    tops = {b: field_shift(b, n) + n for b in BLOCKS}
+    terms: list[int] = []
     for chunk in stripped.split("+"):
         chunk = chunk.strip()
         if not chunk:
             raise ParseError(f"empty term in {text!r}")
         if chunk == "1":
-            terms.append(Monomial.one())
+            terms.append(0)
             continue
-        exps: dict[Variable, int] = {}
+        mask = 0
         for tok in chunk.split("*"):
             tok = tok.strip()
             m = _VAR_RE.match(tok)
@@ -377,20 +325,17 @@ def parse_polynomial(text: str, n: int) -> Polynomial:
                 raise ParseError(f"variable index must be >= 1 in {tok!r}")
             if idx > n:
                 raise ParseError(f"variable {tok!r} exceeds ambient dimension {n}")
-            v = Variable(m.group(1), idx)
-            exps[v] = exps.get(v, 0) + 1
-        terms.append(Monomial(exps))
+            mask |= 1 << (tops[m.group(1)] - idx)
+        terms.append(mask)
     return Polynomial(n, terms)
 
 
 def format_polynomial(f: Polynomial, order: BlockLexOrder | None = None) -> str:
-    """Canonical text: terms descending in the given order, '0' when empty."""
-    if order is None:
-        order = BlockLexOrder(BLOCKS)
+    """Canonical text: terms descending in the given order (default x, y, z, t), '0' when empty."""
     if f.is_zero:
         return "0"
-    ordered = sorted(f.terms, key=order.sort_key, reverse=True)
-    return " + ".join(str(m) for m in ordered)
+    ordered = sorted(f.terms, reverse=True) if order is None else f.descending(order)
+    return " + ".join(monomial_text(m, f.n) for m in ordered)
 
 
 def gf2_zeta(table: int, v: int) -> int:

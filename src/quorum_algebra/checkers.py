@@ -155,17 +155,23 @@ def _members(source: str, systems: dict[str, SetSystem]) -> SetSystem:
     return systems[source]
 
 
-def _decide(
-    name: str, inputs: tuple[SetSystem, ...], var_budget: int | None, method: str = "sm-count"
-) -> Verdict:
-    """Validate the inputs, build the property's ideal and compare its count."""
-    prop = PROPERTIES[name]
-    systems = dict(zip(prop.reads, inputs))
-    for key, system in systems.items():
+def validate_inputs(name: str, inputs: tuple[SetSystem, ...]) -> None:
+    """Reject the inputs no route can decide: an empty system, or systems
+    over different n. Both the algebraic and the oracle route need this."""
+    for key, system in zip(PROPERTIES[name].reads, inputs):
         if len(system) == 0:
             raise ValueError(f"empty {_NOUNS[key]} system")
     if len({system.n for system in inputs}) > 1:
         raise ValueError("quorums and fail-prone system must share the ambient n")
+
+
+def _decide(
+    name: str, inputs: tuple[SetSystem, ...], var_budget: int | None, method: str = "sm-count"
+) -> Verdict:
+    """Validate the inputs, build the property's ideal and compare its count."""
+    validate_inputs(name, inputs)
+    prop = PROPERTIES[name]
+    systems = dict(zip(prop.reads, inputs))
     n = inputs[0].n
     enforce_var_budget(len(prop.order), n, var_budget)
     if method not in ("sm-count", "trivial-ideal"):

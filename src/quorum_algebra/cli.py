@@ -31,6 +31,7 @@ from .checkers import (
     check_q4,
     enforce_var_budget,
     threshold_system,
+    validate_inputs,
 )
 from .encoding import SetSystem
 from .groebner import IdealBasis, buchberger
@@ -93,6 +94,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         if present[key] is None:
             raise InputError(f"property '{args.property}' needs '{key}' in the input file")
     systems = [present[key] for key in reads]
+    try:
+        validate_inputs(args.property, tuple(systems))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     # Built per call from this module's names, so wrappers set on them see the call.
     checker, oracle = {
         "consistency": (check_consistency_classical, oracle_consistency_classical),
@@ -208,6 +213,10 @@ def cmd_groebner(args: argparse.Namespace) -> int:
     print("reduced basis:")
     for g in cert.basis:
         print(f"  {format_polynomial(g, order)}")
+    if not cert.basis:
+        # the zero ideal: its ordinary-ring basis is the field polynomials
+        for v in order.variables(n):
+            print(f"  {v}^2 + {v}")
     print(f"standard monomials: {cert.sm_count}")
     return 0
 

@@ -12,7 +12,11 @@ determines both the trailing monomial (the product over members) and the
 cofactor (the product of the 1 + V_i over non-members). Intersection, union
 and difference of the encoded sets are computed on those factored forms,
 where gcds of trailing monomials and idempotent products of cofactors are
-plain bitmask operations; expand() gives the ordinary Polynomial.
+plain bitmask operations; expand() gives the Polynomial.
+
+A ProcessSubset mask keeps Pi on bit i-1, while a polynomial's block field
+keeps index 1 on its highest bit (see algebra), so _field_mask reverses the
+bits of an incidence vector once where a subset becomes a monomial.
 
 The characteristic polynomial of a whole set system, the product of
 (xi_S + 1) over its members S with xi_S the member's characteristic
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Monomial, Polynomial, Variable, bit_positions, gf2_zeta
+from .algebra import Polynomial, bit_positions, field_shift, gf2_zeta
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class ProcessSubset:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.mask >> (i - 1) & 1)
+        return tuple(p + 1 for p in bit_positions(self.mask))
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -73,7 +77,7 @@ class ProcessSubset:
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def contains(self, i: int) -> bool:
         return bool(self.mask >> (i - 1) & 1)
@@ -106,6 +110,28 @@ class ProcessSubset:
 
     def vector_str(self) -> str:
         return "(" + ",".join(str(b) for b in self.vector) + ")"
+
+
+def _field_mask(s: ProcessSubset) -> int:
+    """The subset as a mask of one block field: Pi on bit n-i, so P1 on top."""
+    return int(format(s.mask, f"0{s.n}b")[::-1], 2)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def _column(blocks: Iterable[str], n: int) -> int:
+    """Index 1 of every listed block; shifting right by i-1 gives index i."""
+    col = 0
+    for b in blocks:
+        col |= 1 << (field_shift(b, n) + n - 1)
+    return col
 
 
 def phi(indices: Iterable[int], n: int) -> ProcessSubset:
@@ -196,28 +222,24 @@ class CharPoly:
     support: ProcessSubset
     block: str
 
-    def _var(self, i: int) -> Variable:
-        return Variable(self.block, i)
-
     @property
     def n(self) -> int:
         return self.support.n
 
     def expand(self) -> Polynomial:
+        n, shift = self.n, field_shift(self.block, self.n)
+        base = _field_mask(self.support)
+        comp = base ^ ((1 << n) - 1)
+        return Polynomial(n, ((base | sub) << shift for sub in _submasks(comp)))
+
+    def trailing_monomial(self) -> Polynomial:
+        """The member product, as a one-term polynomial."""
+        return Polynomial(self.n, (_field_mask(self.support) << field_shift(self.block, self.n),))
+
+    def leading_monomial(self) -> Polynomial:
+        """The product of all the block's variables, as a one-term polynomial."""
         n = self.n
-        comp = [i for i in range(1, n + 1) if not self.support.contains(i)]
-        base = [self._var(i) for i in self.support.indices]
-        terms = []
-        for k in range(len(comp) + 1):
-            for extra in combinations(comp, k):
-                terms.append(Monomial.of(*base, *(self._var(i) for i in extra)))
-        return Polynomial(n, terms)
-
-    def trailing_monomial(self) -> Monomial:
-        return Monomial.of(*(self._var(i) for i in self.support.indices))
-
-    def leading_monomial(self) -> Monomial:
-        return Monomial.of(*(self._var(i) for i in range(1, self.n + 1)))
+        return Polynomial(n, (((1 << n) - 1) << field_shift(self.block, n),))
 
     def cofactor_mask(self) -> int:
         """Support of the product of (1 + V_i) factors, as a bitmask."""
@@ -289,10 +311,10 @@ def char_poly(s: ProcessSubset, block: str) -> CharPoly:
 
 
 def bool_product(polys: Iterable[Polynomial], n: int) -> Polynomial:
-    """Product in the Boolean quotient (exponents clamp at 1)."""
+    """Product of the polynomials in the Boolean ring; the empty product is 1."""
     acc = Polynomial.one(n)
     for p in polys:
-        acc = acc.mul(p, boolean=True)
+        acc = acc * p
     return acc
 
 
@@ -311,20 +333,16 @@ def system_char_poly(system: SetSystem, block: str) -> Polynomial:
     T containing S. The coefficient of x^T is therefore
     [T empty] + #{S in system : S subset of T} mod 2: the F2 subset-sum
     transform of the member bitset, with the constant 1 added afterwards.
+    The bitset is indexed by the members' field masks, so the transform's
+    indices are the block's monomials as they stand.
     """
     n = system.n
     table = 0
     for m in system:
-        table |= 1 << m.mask
+        table |= 1 << _field_mask(m)
     coeffs = gf2_zeta(table, n) ^ 1
-    variables = [Variable(block, i) for i in range(1, n + 1)]
-    return Polynomial(
-        n,
-        (
-            Monomial.of(*(variables[k] for k in bit_positions(t)))
-            for t in bit_positions(coeffs)
-        ),
-    )
+    shift = field_shift(block, n)
+    return Polynomial(n, (t << shift for t in bit_positions(coeffs)))
 
 
 def containment_poly(n: int, outer_block: str, inner_block: str) -> Polynomial:
@@ -334,28 +352,22 @@ def containment_poly(n: int, outer_block: str, inner_block: str) -> Polynomial:
     when inner_i = 1 and outer_i = 0, so the product is 1 + 1 = 0 exactly
     when no inner member escapes the outer support.
     """
-    one = Polynomial.one(n)
-    factors = []
-    for i in range(1, n + 1):
-        o = Polynomial.variable(Variable(outer_block, i), n)
-        inn = Polynomial.variable(Variable(inner_block, i), n)
-        factors.append(o * inn + inn + one)
-    return bool_product(factors, n) + one
+    o, inn = _column((outer_block,), n), _column((inner_block,), n)
+    factors = (Polynomial(n, ((o | inn) >> k, inn >> k, 0)) for k in range(n))
+    return bool_product(factors, n) + Polynomial.one(n)
 
 
 def fixed_containment_poly(outer: ProcessSubset, inner_block: str) -> Polynomial:
     """containment_poly with the outer support fixed to a constant subset.
 
     Reduces to the product of (V_i + 1) over indices outside the support,
-    plus 1: zero exactly at the subsets of the fixed outer set.
+    plus 1: zero exactly at the subsets of the fixed outer set. Expanded,
+    that is the sum of every nonempty product of those V_i.
     """
     n = outer.n
-    one = Polynomial.one(n)
-    factors = []
-    for i in range(1, n + 1):
-        if not outer.contains(i):
-            factors.append(Polynomial.variable(Variable(inner_block, i), n) + one)
-    return bool_product(factors, n) + one
+    shift = field_shift(inner_block, n)
+    outside = _field_mask(outer.complement())
+    return Polynomial(n, (sub << shift for sub in _submasks(outside) if sub))
 
 
 def overlap_poly(n: int, block_a: str, block_b: str) -> tuple[Polynomial, ...]:
@@ -364,13 +376,8 @@ def overlap_poly(n: int, block_a: str, block_b: str) -> tuple[Polynomial, ...]:
     The product of (A_i * B_i + 1) is 0 as soon as some index lies in both
     supports and 1 otherwise.
     """
-    one = Polynomial.one(n)
-    factors = []
-    for i in range(1, n + 1):
-        a = Polynomial.variable(Variable(block_a, i), n)
-        b = Polynomial.variable(Variable(block_b, i), n)
-        factors.append(a * b + one)
-    return tuple(factors)
+    ab = _column((block_a, block_b), n)
+    return tuple(Polynomial(n, (ab >> k, 0)) for k in range(n))
 
 
 def uncovered_meet_poly(n: int, meet_blocks: Sequence[str], cover_block: str) -> tuple[Polynomial, ...]:
@@ -383,15 +390,8 @@ def uncovered_meet_poly(n: int, meet_blocks: Sequence[str], cover_block: str) ->
     """
     if len(meet_blocks) < 2:
         raise ValueError("need at least two blocks to form a meet")
-    one = Polynomial.one(n)
-    factors = []
-    for i in range(1, n + 1):
-        m = Polynomial.one(n)
-        for b in meet_blocks:
-            m = m * Polynomial.variable(Variable(b, i), n)
-        t = Polynomial.variable(Variable(cover_block, i), n)
-        factors.append(t * m + m + one)
-    return tuple(factors)
+    meet, cover = _column(meet_blocks, n), _column((cover_block,), n)
+    return tuple(Polynomial(n, ((cover | meet) >> k, meet >> k, 0)) for k in range(n))
 
 
 def downset_poly(system: SetSystem, block: str) -> tuple[Polynomial, ...]:
@@ -414,11 +414,6 @@ def cover_poly(n: int, blocks: Sequence[str]) -> tuple[Polynomial, ...]:
     """
     if len(blocks) < 2:
         raise ValueError("cover needs at least two blocks")
-    one = Polynomial.one(n)
-    factors = []
-    for i in range(1, n + 1):
-        p = Polynomial.one(n)
-        for b in blocks:
-            p = p * (Polynomial.variable(Variable(b, i), n) + one)
-        factors.append(p + one)
-    return tuple(factors)
+    col = _column(blocks, n)
+    # prod(1 + V_i) is the sum of every product of the V_i; the 1 cancels the empty one
+    return tuple(Polynomial(n, (sub for sub in _submasks(col >> k) if sub)) for k in range(n))

@@ -1,13 +1,14 @@
 """Buchberger's algorithm in the Boolean ring and the counting tools built on it.
 
 The engine works in F2[x]/<x^2 + x>, where every variable is idempotent, so
-no exponent ever exceeds 1. Internally a monomial is a squarefree bitmask
-int: variable p of order.variables(n) sits on bit v-1-p, the most
-significant variable on the highest bit, so integer comparison of masks IS
-the block lexicographic comparison. The Boolean product of two monomials is
-their OR, d divides m when d & ~m == 0, and the cofactor of d in m is
-m & ~d. A polynomial is a tuple of masks in descending order, so the
-leading monomial is element 0.
+no exponent ever exceeds 1. A monomial is a squarefree bitmask int, as in
+every Polynomial. The engine reads the masks in the order's own layout
+(algebra.move_fields moves whole block fields there and back): variable p
+of order.variables(n) sits on bit v-1-p, the most significant variable on
+the highest bit, so integer comparison of masks IS the block lexicographic
+comparison. The Boolean product of two monomials is their OR, d divides m
+when d & ~m == 0, and the cofactor of d in m is m & ~d. A polynomial is a
+tuple of masks in descending order, so the leading monomial is element 0.
 
 The field polynomials x^2 + x never enter the basis. The S-polynomial of an
 element g with x^2 + x, reduced by the field polynomials, is the Boolean
@@ -17,8 +18,7 @@ PolyBoRi, J. Symb. Comput. 44(9), 2009). It is not queued when x divides
 every term of g, since then x*g = g; for x outside LM(g) the leading
 monomials are coprime. The reduced Boolean basis is the ordinary-ring
 reduced basis of the ideal plus all field polynomials with those field
-polynomials left out, so the report lists them only when nothing else
-remains, for the zero ideal.
+polynomials left out, so the zero ideal's reduced basis is empty.
 
 Pair selection is the normal strategy: minimal lcm degree, ties by the
 order on the lcm, then by insertion sequence, which makes runs
@@ -60,25 +60,15 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
 
-from .algebra import BlockLexOrder, Monomial, Polynomial, Variable, bit_positions, gf2_zeta
-
-
-def _pack(g: Polynomial, bits: dict[Variable, int]) -> tuple[int, ...]:
-    """Masks of the Boolean image of g, descending; terms with equal masks cancel."""
-    acc: set[int] = set()
-    for m in g.terms:
-        mask = 0
-        for var, _ in m.exponents:
-            mask |= bits[var]
-        acc ^= {mask}
-    return tuple(sorted(acc, reverse=True))
-
-
-def _unpack(terms: Sequence[int], variables: Sequence[Variable], n: int) -> Polynomial:
-    top = len(variables) - 1
-    return Polynomial(
-        n, (Monomial.of(*(variables[top - b] for b in bit_positions(t))) for t in terms)
-    )
+from .algebra import (
+    BLOCKS,
+    BlockLexOrder,
+    Polynomial,
+    Variable,
+    bit_positions,
+    gf2_zeta,
+    move_fields,
+)
 
 
 def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
@@ -270,45 +260,38 @@ class GroebnerCertificate:
         return self._sub_counts[keep]
 
 
-def field_polynomials(blocks: Iterable[str], n: int) -> list[Polynomial]:
-    """v^2 + v for every ambient variable; zero in the Boolean quotient."""
-    out = []
-    for b in blocks:
-        for i in range(1, n + 1):
-            var = Variable(b, i)
-            out.append(Polynomial(n, (Monomial({var: 2}), Monomial({var: 1}))))
-    return out
-
-
 def reduce_once(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
-    """One top-reduction step: f1 + (LM(f1)/LM(f2)) * f2."""
+    """One top-reduction step in the Boolean ring: f1 + (LM(f1)/LM(f2)) * f2.
+
+    The cofactor shares no variable with LM(f2), so it keeps the terms of f2
+    in order and its product with LM(f2) is LM(f1), which cancels.
+    """
     if f1.is_zero or f2.is_zero:
         raise ValueError("reduction requires nonzero polynomials")
     lm1 = f1.leading_monomial(order)
     lm2 = f2.leading_monomial(order)
-    if not lm2.divides(lm1):
-        raise ValueError(f"LM {lm2} does not divide LM {lm1}")
-    cof = Polynomial(f1.n, (lm1.divide(lm2),))
-    return f1 + cof * f2
+    if lm2 & ~lm1:
+        raise ValueError(f"LM of {f2} does not divide LM of {f1}")
+    return f1 + Polynomial(f1.n, (lm1 & ~lm2,)) * f2
+
 
 def spoly(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
-    """S-polynomial: both copies scaled to the lcm of their leading monomials."""
+    """Boolean S-polynomial: both copies scaled to the lcm (the OR) of their leading monomials."""
     if f1.is_zero or f2.is_zero:
         raise ValueError("s-polynomial requires nonzero polynomials")
     lm1 = f1.leading_monomial(order)
     lm2 = f2.leading_monomial(order)
-    l = lm1.lcm(lm2)
-    c1 = Polynomial(f1.n, (l.divide(lm1),))
-    c2 = Polynomial(f2.n, (l.divide(lm2),))
-    return c1 * f1 + c2 * f2
+    l = lm1 | lm2
+    return Polynomial(f1.n, (l & ~lm1,)) * f1 + Polynomial(f2.n, (l & ~lm2,)) * f2
 
 
 def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOrder) -> Polynomial:
-    """Full normal form of f against the given set (no implicit field polynomials).
+    """Full normal form of f against the given set, in the Boolean ring.
 
-    Works in the ordinary ring by repeated reduce_once, always with the first
+    Works on Polynomials by repeated reduce_once, always with the first
     reducer whose leading monomial divides, and shares no code with the
-    engine, so tests can check the engine's output with it.
+    engine, so tests can check the engine's output with it. The field
+    polynomials are implicit: products clamp, so x^2 + x is zero here.
     """
     polys = [g for g in reducers if not g.is_zero]
     for g in polys:
@@ -316,11 +299,11 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
             raise ValueError("ambient dimension mismatch")
     lms = [g.leading_monomial(order) for g in polys]
     rest = f
-    out: list[Monomial] = []
+    out: list[int] = []
     while not rest.is_zero:
         lm = rest.leading_monomial(order)
         for g, d in zip(polys, lms):
-            if d.divides(lm):
+            if not d & ~lm:
                 rest = reduce_once(rest, g, order)
                 break
         else:
@@ -330,16 +313,21 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
 
 
 def _run_buchberger(
-    B: IdealBasis, bits: dict[Variable, int], use_coprime: bool, use_chain: bool
+    B: IdealBasis, use_coprime: bool, use_chain: bool
 ) -> tuple[list[tuple[int, ...]], GroebnerStats]:
     """Boolean Groebner basis of B: the active elements left when the pairs run out."""
     stats = GroebnerStats()
-    gens = [p for p in (_pack(g, bits) for g in B.generators) if p]
-    products = [[_pack(f, bits) for f in factors] for factors in B.products]
+    blocks, n = B.order.blocks, B.n
+
+    def engine(g: Polynomial) -> tuple[int, ...]:
+        return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
+
+    gens = [engine(g) for g in B.generators]
+    products = [[engine(f) for f in factors] for factors in B.products]
     seeds: list[tuple[int, ...]] = []
     if use_coprime:
-        gens, seeds = _solve_blocks(gens, B.n, use_chain, stats)
-    return _pair_loop(gens, products, seeds, len(bits), use_coprime, use_chain, stats), stats
+        gens, seeds = _solve_blocks(gens, n, use_chain, stats)
+    return _pair_loop(gens, products, seeds, len(blocks) * n, use_coprime, use_chain, stats), stats
 
 
 def _solve_blocks(
@@ -557,23 +545,18 @@ def buchberger(
 ) -> GroebnerCertificate:
     """Reduced Boolean Groebner basis of <generators, products>.
 
-    The field polynomials are reported only for the zero ideal, where they
-    are the whole ordinary-ring basis. The standard monomial count is over
+    The zero ideal's basis is empty. The standard monomial count is over
     squarefree monomials in all ambient variables, so it equals the size of
     the variety in the Boolean quotient.
     """
-    variables = B.order.variables(B.n)
-    v = len(variables)
-    bits = {var: 1 << (v - 1 - p) for p, var in enumerate(variables)}
-    active, stats = _run_buchberger(B, bits, use_coprime, use_chain)
+    blocks, n = B.order.blocks, B.n
+    v = len(blocks) * n
+    active, stats = _run_buchberger(B, use_coprime, use_chain)
     reduced = _reduce_basis(active, v)
-    if reduced:
-        polys = tuple(_unpack(p, variables, B.n) for p in reduced)
-    else:
-        polys = tuple(field_polynomials(B.order.blocks, B.n))
-    count = _sm_count_masks([p[0] for p in reduced], v)
+    polys = tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in reduced)
+    count = _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
-        basis=polys, order=B.order, n=B.n, sm_count=count, stats=stats
+        basis=polys, order=B.order, n=n, sm_count=count, stats=stats
     )
 
 
@@ -590,10 +573,12 @@ def elimination_subbasis(cert: GroebnerCertificate, keep_blocks: tuple[str, ...]
     return tuple(g for g in cert.basis if g.blocks() <= keepset)
 
 
-def _sm_count_masks(masks: Sequence[int], v: int) -> int:
-    """Count squarefree monomials over v variables divisible by no mask."""
+def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
+    """Count the submasks of universe that no mask divides; the masks lie in it."""
     if any(m == 0 for m in masks):
         return 0
+    bits = [1 << b for b in bit_positions(universe)]
+    v = len(bits)
     uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     minimal: list[int] = []
     for m in uniq:
@@ -608,7 +593,7 @@ def _sm_count_masks(masks: Sequence[int], v: int) -> int:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        bit = 1 << i
+        bit = bits[i]
         # variable i absent: masks requiring it can never divide
         res = rec(i + 1, tuple(m for m in active if not m & bit))
         # variable i present: clear it from masks; a fully cleared mask divides
@@ -633,14 +618,17 @@ def _sm_count_masks(masks: Sequence[int], v: int) -> int:
     return rec(0, tuple(minimal))
 
 
-def _sm_count_enumerate(masks: Sequence[int], v: int) -> int:
-    if v > 12:
+def _sm_count_enumerate(masks: Sequence[int], universe: int) -> int:
+    if universe.bit_count() > 12:
         raise ValueError("exhaustive standard monomial count is limited to 12 variables")
     count = 0
-    for p in range(1 << v):
+    p = universe
+    while True:
         if not any(m & p == m for m in masks):
             count += 1
-    return count
+        if not p:
+            return count
+        p = (p - 1) & universe
 
 
 def standard_monomial_count(
@@ -651,45 +639,38 @@ def standard_monomial_count(
 ) -> int:
     """Number of squarefree monomials over `variables` no LM of `basis` divides.
 
-    Non-squarefree leading monomials (field polynomials) cannot divide a
-    squarefree monomial and are skipped. With method="enumerate" all
-    2^len(variables) monomials are checked directly (reference path, at most
-    12 variables).
+    With method="enumerate" all 2^len(variables) monomials are checked
+    directly (reference path, at most 12 variables).
     """
-    var_pos = {var: k for k, var in enumerate(variables)}
-    v = len(variables)
-    masks = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        if not lm.is_squarefree:
-            continue
-        mask = 0
-        for var in lm.variables():
-            if var not in var_pos:
-                raise ValueError(f"leading monomial {lm} uses {var} outside the universe")
-            mask |= 1 << var_pos[var]
-        masks.append(mask)
+    basis = tuple(basis)
+    n = basis[0].n if basis else max((var.index for var in variables), default=1)
+    universe = 0
+    for var in variables:
+        universe |= var.mask(n)
+    masks = [g.leading_monomial(order) for g in basis]
+    for g, lm in zip(basis, masks):
+        if g.n != n:
+            raise ValueError("ambient dimension mismatch")
+        if lm & ~universe:
+            raise ValueError(f"leading monomial of {g} uses variables outside the universe")
     if method == "recurse":
-        return _sm_count_masks(masks, v)
+        return _sm_count_masks(masks, universe)
     if method == "enumerate":
-        return _sm_count_enumerate(masks, v)
+        return _sm_count_enumerate(masks, universe)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _truth_table_bitset(g: Polynomial, var_pos: dict[Variable, int], v: int) -> int:
-    """Bitset over all 2^v points with bit p set when g(point p) = 1.
+def _truth_table_bitset(g: Polynomial, blocks: tuple[str, ...]) -> int:
+    """Bitset over all points with bit p set when g(point p) = 1.
 
-    Point p assigns to the variable at position k the bit (p >> k) & 1. The
-    table is built from the squarefree form by the binary subset-sum (zeta)
-    transform over F2.
+    Points are monomial masks in the layout of blocks, read as the set of
+    variables assigned 1. The table is the binary subset-sum (zeta)
+    transform over F2 of g's coefficients.
     """
     acc = 0
-    for m in g.boolean_reduce().terms:
-        mask = 0
-        for var in m.variables():
-            mask |= 1 << var_pos[var]
-        acc ^= 1 << mask
-    return gf2_zeta(acc, v)
+    for m in move_fields(g.terms, BLOCKS, blocks, g.n):
+        acc ^= 1 << m
+    return gf2_zeta(acc, len(blocks) * g.n)
 
 
 def variety_enumerate(
@@ -704,17 +685,17 @@ def variety_enumerate(
     in 1..n]. The total variable count is capped (default 24) because the
     enumeration is exponential.
     """
-    varlist = [Variable(b, i) for b in blocks for i in range(1, n + 1)]
-    v = len(varlist)
+    blocks = tuple(blocks)
+    v = len(blocks) * n
     if v > limit:
         raise ValueError(f"variety enumeration over {v} variables exceeds the cap of {limit}")
-    var_pos = {var: k for k, var in enumerate(varlist)}
-    total = 1 << v
     nonzero = 0
     for g in generators:
-        for var in (w for m in g.terms for w in m.variables()):
-            if var not in var_pos:
-                raise ValueError(f"generator variable {var} outside {blocks} x {n}")
-        nonzero |= _truth_table_bitset(g, var_pos, v)
-    zeros = ~nonzero & ((1 << total) - 1)
-    return frozenset(tuple((p >> k) & 1 for k in range(v)) for p in bit_positions(zeros))
+        if g.n != n or not g.blocks() <= set(blocks):
+            raise ValueError(f"generator {g} outside {blocks} x {n}")
+        nonzero |= _truth_table_bitset(g, blocks)
+    zeros = ~nonzero & ((1 << (1 << v)) - 1)
+    # the variable at position k of the tuple sits on bit v-1-k of the layout
+    return frozenset(
+        tuple((p >> k) & 1 for k in range(v - 1, -1, -1)) for p in bit_positions(zeros)
+    )

@@ -5,13 +5,7 @@ covers the incidence-vector map and the factored characteristic-polynomial
 arithmetic for a fixed intersection, union and difference instance at n=6.
 """
 
-from quorum_algebra.algebra import (
-    BlockLexOrder,
-    Monomial,
-    Polynomial,
-    Variable,
-    format_polynomial,
-)
+from quorum_algebra.algebra import BlockLexOrder, Polynomial, Variable, format_polynomial
 from quorum_algebra.encoding import CharPoly, ProcessSubset, bool_product, char_poly
 
 ORDER = BlockLexOrder(("y",))
@@ -19,10 +13,6 @@ ORDER = BlockLexOrder(("y",))
 
 def fmt(f: Polynomial) -> str:
     return format_polynomial(f, ORDER)
-
-
-def fmt_monomial(m: Monomial, n: int) -> str:
-    return fmt(Polynomial(n, [m]))
 
 
 def cofactor_expanded(c: CharPoly) -> Polynomial:
@@ -40,12 +30,11 @@ def cofactor_factored(c: CharPoly) -> str:
 
 
 def section(title: str, result: CharPoly, expand_cofactor: bool) -> list[str]:
-    n = result.n
     nu = cofactor_expanded(result)
     shown = fmt(nu) if expand_cofactor else cofactor_factored(result)
     return [
         f"{title}:",
-        f"  mu = {fmt_monomial(result.trailing_monomial(), n)}",
+        f"  mu = {fmt(result.trailing_monomial())}",
         f"  nu = {shown}",
         f"  point of value 1: {result.support.vector_str()}",
         f"  result: {result.support}",
@@ -68,8 +57,8 @@ def render() -> str:
     lines.append(f"  F = {f.support}")
     lines.append("")
     lines.append(f"xi_Q = {fmt(q.expand())}")
-    lines.append(f"TM(xi_Q) = {fmt_monomial(q.trailing_monomial(), n)}")
-    lines.append(f"TM(xi_R) = {fmt_monomial(r.trailing_monomial(), n)}")
+    lines.append(f"TM(xi_Q) = {fmt(q.trailing_monomial())}")
+    lines.append(f"TM(xi_R) = {fmt(r.trailing_monomial())}")
     lines.append("")
 
     lines.extend(section("intersection Q meet R", q.intersect(r), True))

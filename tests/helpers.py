@@ -2,7 +2,7 @@
 
 import random
 
-from quorum_algebra.algebra import Monomial, Polynomial, Variable
+from quorum_algebra.algebra import Polynomial, Variable
 from quorum_algebra.encoding import SetSystem
 
 
@@ -10,13 +10,12 @@ def rand_poly(n, blocks, rng, max_terms=5, density=0.4):
     """Random polynomial; may be zero when terms cancel."""
     terms = []
     for _ in range(rng.randint(1, max_terms)):
-        vs = [
-            Variable(b, i)
-            for b in blocks
-            for i in range(1, n + 1)
-            if rng.random() < density
-        ]
-        terms.append(Monomial.of(*vs))
+        mask = 0
+        for b in blocks:
+            for i in range(1, n + 1):
+                if rng.random() < density:
+                    mask |= Variable(b, i).mask(n)
+        terms.append(mask)
     return Polynomial(n, terms)
 
 

@@ -1,40 +1,57 @@
-"""Tests for monomials, polynomials, the block order and the text grammar."""
+"""Tests for monomial masks, polynomials, the block order and the text grammar."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rand_poly, seeded
 from quorum_algebra.algebra import (
+    BLOCKS,
     BlockLexOrder,
-    Monomial,
     ParseError,
     Polynomial,
     Variable,
     bit_positions,
     format_polynomial,
     gf2_zeta,
+    monomial_text,
+    move_fields,
     parse_polynomial,
 )
+from quorum_algebra.checkers import PROPERTIES
+from quorum_algebra.groebner import reduce_once
 
 N = 3
 VARS = [Variable(b, i) for b in ("x", "y") for i in range(1, N + 1)]
 ORDER = BlockLexOrder(("x", "y"))
+ORDERS = (ORDER, BlockLexOrder(("y", "x")))
 
-monomials = st.builds(
-    lambda pairs: Monomial(dict(pairs)),
-    st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=4),
-)
-squarefree_monomials = st.builds(
-    lambda vs: Monomial.of(*vs), st.lists(st.sampled_from(VARS), unique=True, max_size=4)
-)
+
+def mask_of(variables):
+    """The monomial on the given variables; a repeated variable counts once."""
+    m = 0
+    for v in variables:
+        m |= v.mask(N)
+    return m
+
+
+def mono(m):
+    return Polynomial(N, (m,))
+
+
+def key(m, order):
+    """m moved into the order's layout, where integer comparison is the order."""
+    return move_fields([m], BLOCKS, order.blocks, N)[0]
+
+
+monomials = st.builds(mask_of, st.lists(st.sampled_from(VARS), max_size=4))
 polynomials = st.builds(lambda ms: Polynomial(N, ms), st.lists(monomials, max_size=5))
-squarefree_polynomials = st.builds(
-    lambda ms: Polynomial(N, ms), st.lists(squarefree_monomials, max_size=5)
-)
 points = st.builds(
     lambda bits: dict(zip(VARS, bits)),
     st.lists(st.integers(0, 1), min_size=len(VARS), max_size=len(VARS)),
 )
+# ordinary-ring monomials as text: variables with exponents 1..3, written out
+exponent_terms = st.lists(st.tuples(st.sampled_from(VARS), st.integers(1, 3)), max_size=4)
 
 
 def test_variable_validation():
@@ -47,73 +64,95 @@ def test_variable_validation():
 
 def test_monomial_basics():
     x1, x2 = Variable("x", 1), Variable("x", 2)
-    m = Monomial.of(x1, x2, x1)
-    assert m.exponent(x1) == 2
-    assert m.degree == 3
-    assert not m.is_squarefree
-    assert m.boolean_reduced() == Monomial.of(x1, x2)
-    assert str(m) == "x1^2*x2"
-    assert Monomial.one().is_one
-    assert str(Monomial.one()) == "1"
+    m = mask_of([x1, x2, x1])
+    assert m == mask_of([x1, x2]) == x1.mask(N) | x2.mask(N)
+    assert m.bit_count() == 2
+    assert monomial_text(m, N) == "x1*x2"
+    assert monomial_text(0, N) == "1"
+    assert mono(0).is_one
+    # index 1 of the top field sits on the highest bit
+    assert x1.mask(N) == 1 << (4 * N - 1)
+    assert Variable("t", N).mask(N) == 1
 
 
 def test_monomial_divide_and_lcm():
-    x1, x2, y1 = Variable("x", 1), Variable("x", 2), Variable("y", 1)
-    a = Monomial.of(x1, x2)
-    b = Monomial.of(x2, y1)
-    assert not a.divides(b)
-    assert a.lcm(b) == Monomial.of(x1, x2, y1)
-    assert a.gcd(b) == Monomial.of(x2)
-    assert a.lcm(b).divide(a) == Monomial.of(y1)
+    a, b = parse_polynomial("x1*x2", N), parse_polynomial("x2*y1", N)
+    assert a * b == parse_polynomial("x1*x2*y1", N)  # the lcm
+    assert reduce_once(a * b, a, ORDER).is_zero  # a divides its lcm with b
     with pytest.raises(ValueError):
-        a.divide(b)
+        reduce_once(b, a, ORDER)  # a does not divide b
 
 
 @given(a=monomials, b=monomials)
 def test_monomial_mul_commutes(a, b):
-    assert a * b == b * a
+    assert mono(a) * mono(b) == mono(b) * mono(a) == mono(a | b)
 
 
 @given(a=monomials, b=monomials, c=monomials)
 def test_monomial_mul_associates(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert (mono(a) * mono(b)) * mono(c) == mono(a) * (mono(b) * mono(c))
 
 
 @given(a=monomials, b=monomials)
 def test_monomial_divide_inverts_mul(a, b):
-    assert (a * b).divide(b) == a
+    # the cofactor of b in a*b times b is a*b again
+    m = a | b
+    assert mono(m & ~b) * mono(b) == mono(m)
 
 
 @given(a=monomials, b=monomials)
 def test_monomial_lcm_gcd_product(a, b):
-    assert a.lcm(b) * a.gcd(b) == a * b
+    assert mono(a | b) * mono(a & b) == mono(a) * mono(b)
 
 
 @given(a=monomials, b=monomials, c=monomials)
 def test_order_is_multiplicative(a, b, c):
-    ka, kb = ORDER.sort_key(a), ORDER.sort_key(b)
-    if ka > kb:
-        assert ORDER.sort_key(a * c) > ORDER.sort_key(b * c)
-    elif ka == kb:
-        assert a == b
+    # in the Boolean ring only a factor coprime to both keeps the comparison
+    for order in ORDERS:
+        if key(a, order) > key(b, order):
+            if not c & (a | b):
+                assert key(a | c, order) > key(b | c, order)
+        elif key(a, order) == key(b, order):
+            assert a == b
 
 
 @given(m=monomials)
 def test_order_one_is_least(m):
-    assert ORDER.sort_key(m) >= ORDER.sort_key(Monomial.one())
+    for order in ORDERS:
+        assert mono(m).trailing_monomial(order) == m
+        if m:
+            assert (mono(m) + Polynomial.one(N)).trailing_monomial(order) == 0
+
+
+@given(m=monomials)
+def test_move_fields_orders_by_the_variables(m):
+    for order in ORDERS:
+        assert move_fields(move_fields([m], BLOCKS, order.blocks, N), order.blocks, BLOCKS, N) == [m]
+    # against the definition: lexicographic on the 0/1 vector, most significant variable first
+    for order in (*ORDERS, BlockLexOrder(("t", "x", "z", "y")), BlockLexOrder(("y",))):
+        variables = order.variables(N)
+        top = [1 << (len(variables) - 1 - p) for p in range(len(variables))]
+        expected = sum(bit for v, bit in zip(variables, top) if m & v.mask(N))
+        assert move_fields([m], BLOCKS, order.blocks, N)[0] == expected
 
 
 def test_order_block_precedence():
-    x3 = Monomial.of(Variable("x", 3))
-    y1 = Monomial.of(Variable("y", 1))
-    assert ORDER.sort_key(x3) > ORDER.sort_key(y1)
-    x1, x2 = Monomial.of(Variable("x", 1)), Monomial.of(Variable("x", 2))
-    assert ORDER.sort_key(x1) > ORDER.sort_key(x2)
+    for order, text, lead in (
+        (ORDER, "x3 + y1", "x3"),
+        (ORDER, "x2 + x1", "x1"),
+        (BlockLexOrder(("y", "x")), "x1 + y3", "y3"),
+        (BlockLexOrder(("y", "x")), "x1*x2*x3 + y1", "y1"),
+    ):
+        f = parse_polynomial(text, N)
+        assert f.leading_monomial(order) == parse_polynomial(lead, N).leading_monomial(order)
 
 
 def test_order_rejects_foreign_blocks():
+    y1 = parse_polynomial("y1", N)
     with pytest.raises(ValueError):
-        BlockLexOrder(("x",)).sort_key(Monomial.of(Variable("y", 1)))
+        y1.leading_monomial(BlockLexOrder(("x",)))
+    with pytest.raises(ValueError):
+        format_polynomial(y1, BlockLexOrder(("x",)))
     with pytest.raises(ValueError):
         BlockLexOrder(())
     with pytest.raises(ValueError):
@@ -128,19 +167,24 @@ def test_order_helpers():
     assert order.is_elimination_suffix(("x",))
     assert not order.is_elimination_suffix(("y",))
     assert order.is_elimination_suffix(("y", "x"))
-    assert order.covers(Monomial.of(Variable("x", 5)))
-    assert not order.covers(Monomial.of(Variable("t", 1)))
+    assert parse_polynomial("x5 + y1*x2", 5).blocks() == {"x", "y"}
+    assert parse_polynomial("t1", 5).blocks() == {"t"}
+    assert Polynomial.one(5).blocks() == frozenset()
 
 
 def test_polynomial_folds_duplicate_terms():
-    x1 = Monomial.of(Variable("x", 1))
+    x1 = Variable("x", 1).mask(N)
     assert Polynomial(N, (x1, x1)).is_zero
     assert Polynomial(N, (x1, x1, x1)) == Polynomial(N, (x1,))
 
 
 def test_polynomial_rejects_out_of_range_index():
     with pytest.raises(ValueError):
-        Polynomial(2, (Monomial.of(Variable("x", 3)),))
+        Polynomial.variable(Variable("x", 3), 2)
+    with pytest.raises(ValueError):
+        Polynomial(2, (1 << 8,))
+    with pytest.raises(ValueError):
+        Polynomial(2, (-1,))
 
 
 @given(f=polynomials)
@@ -153,42 +197,54 @@ def test_addition_is_involution(f):
 def test_ring_laws(f, g, h):
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
-    assert f.mul(g) == g.mul(f)
-    assert f.mul(g + h) == f.mul(g) + f.mul(h)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f * Polynomial.one(N) == f
 
 
 @given(f=polynomials, g=polynomials, p=points)
 def test_evaluate_is_a_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) ^ g.evaluate(p)
-    assert f.mul(g).evaluate(p) == (f.evaluate(p) & g.evaluate(p))
-    assert f.mul(g, boolean=True).evaluate(p) == (f.evaluate(p) & g.evaluate(p))
+    assert (f * g).evaluate(p) == (f.evaluate(p) & g.evaluate(p))
 
 
-@given(f=polynomials, p=points)
-def test_boolean_reduce_preserves_values_on_bits(f, p):
-    r = f.boolean_reduce()
-    assert r.evaluate(p) == f.evaluate(p)
-    assert all(m.is_squarefree for m in r.terms)
-    assert r.boolean_reduce() == r
+@given(terms=st.lists(exponent_terms, min_size=1, max_size=5), p=points)
+def test_boolean_reduce_preserves_values_on_bits(terms, p):
+    # text with exponents above 1 parses to its Boolean image, which has the
+    # same value at every 0/1 point as the ordinary-ring polynomial
+    text = " + ".join("*".join(str(v) for v, e in t for _ in range(e)) or "1" for t in terms)
+    f = parse_polynomial(text, N)
+    value = 0
+    for t in terms:
+        value ^= all(p[v] for v, _ in t)
+    assert f.evaluate(p) == value
+    assert f * f == f
 
 
 @given(f=polynomials, g=polynomials)
 def test_leading_monomial_of_product(f, g):
+    # a Boolean product can cancel its leading terms, one of factors with
+    # disjoint variables cannot: there the leading monomials multiply
+    g = Polynomial(N, (m for m in g.terms if not m & f.support()))
     if f.is_zero or g.is_zero:
         return
-    lm = f.mul(g).leading_monomial(ORDER)
-    assert lm == f.leading_monomial(ORDER) * g.leading_monomial(ORDER)
+    for order in ORDERS:
+        lm = (f * g).leading_monomial(order)
+        assert lm == f.leading_monomial(order) | g.leading_monomial(order)
 
 
 @given(f=polynomials)
 def test_leading_and_trailing_are_extremes(f):
-    if f.is_zero:
-        with pytest.raises(ValueError):
-            f.leading_monomial(ORDER)
-        return
-    keys = {m: ORDER.sort_key(m) for m in f.terms}
-    assert keys[f.leading_monomial(ORDER)] == max(keys.values())
-    assert keys[f.trailing_monomial(ORDER)] == min(keys.values())
+    for order in ORDERS:
+        if f.is_zero:
+            with pytest.raises(ValueError):
+                f.leading_monomial(order)
+            continue
+        keys = {m: key(m, order) for m in f.terms}
+        assert keys[f.leading_monomial(order)] == max(keys.values())
+        assert keys[f.trailing_monomial(order)] == min(keys.values())
+        assert [keys[m] for m in f.descending(order)] == sorted(keys.values(), reverse=True)
 
 
 def test_evaluate_requires_full_point():
@@ -201,15 +257,13 @@ def test_evaluate_requires_full_point():
 
 def test_parse_examples():
     f = parse_polynomial("x1*y2 + y2 + 1", N)
-    assert f.terms == frozenset(
-        {
-            Monomial.of(Variable("x", 1), Variable("y", 2)),
-            Monomial.of(Variable("y", 2)),
-            Monomial.one(),
-        }
-    )
+    x1, y2 = Variable("x", 1).mask(N), Variable("y", 2).mask(N)
+    assert f.terms == frozenset({x1 | y2, y2, 0})
     assert parse_polynomial(" x1 \t*x2+ 1 ", N) == parse_polynomial("x1*x2+1", N)
-    assert parse_polynomial("x1*x1", N) == Polynomial(N, (Monomial({Variable("x", 1): 2}),))
+    # a repeated variable counts once
+    assert parse_polynomial("x1*x1", N) == Polynomial(N, (x1,))
+    assert parse_polynomial("x1*y2*x1*x1 + y2", N) == parse_polynomial("x1*y2 + y2", N)
+    assert parse_polynomial("x1*x1 + x1", N).is_zero
     assert parse_polynomial("1 + 1", N).is_zero
 
 
@@ -222,19 +276,32 @@ def test_parse_rejects_bad_input(text):
 
 
 def test_format_orders_terms_descending():
-    f = parse_polynomial("1 + x2 + x1*y1", N)
-    assert format_polynomial(f, ORDER) == "x1*y1 + x2 + 1"
+    f = parse_polynomial("1 + x2 + x1*y1 + y2", N)
+    assert format_polynomial(f, ORDER) == "x1*y1 + x2 + y2 + 1"
+    assert format_polynomial(f) == "x1*y1 + x2 + y2 + 1"
+    # a term's variables print in x, y, z, t sequence under every order
+    assert format_polynomial(f, BlockLexOrder(("y", "x"))) == "x1*y1 + y2 + x2 + 1"
     assert format_polynomial(Polynomial.zero(N)) == "0"
-    g = Polynomial(N, (Monomial({Variable("x", 1): 2}),))
-    assert format_polynomial(g, ORDER) == "x1^2"
+    assert format_polynomial(parse_polynomial("x1*x1", N), ORDER) == "x1"
 
 
-@given(f=squarefree_polynomials)
+@given(f=polynomials)
 @settings(max_examples=120)
 def test_parse_format_round_trip(f):
     if f.is_zero:
         return
     assert parse_polynomial(format_polynomial(f, ORDER), N) == f
+
+
+@pytest.mark.parametrize("blocks", sorted({spec.order for spec in PROPERTIES.values()}))
+def test_parse_format_round_trip_under_property_orders(blocks):
+    rng = seeded(31)
+    order = BlockLexOrder(blocks)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        f = rand_poly(n, blocks, rng, max_terms=6)
+        text = format_polynomial(f, order)
+        assert text == "0" if f.is_zero else parse_polynomial(text, n) == f
 
 
 @given(st.integers(0, 4), st.data())

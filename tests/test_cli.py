@@ -1,6 +1,8 @@
 """Tests for the qa command line front end, driven in process via main()."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,34 @@ def test_check_missing_required_system(tmp_path, capsys):
             code, out, err = run(["check", prop, "--input", path], capsys)
             assert code == 2 and out == ""
             assert f"property '{prop}' needs '{key}'" in err
+
+
+def test_check_empty_system_is_an_input_error(tmp_path, capsys):
+    # both routes refuse an empty system before either runs
+    for prop, spec in PROPERTIES.items():
+        for key in spec.reads:
+            path = write_input(tmp_path, {**TRIANGLE, key: []})
+            for method in ("oracle", "algebraic", "both"):
+                code, out, err = run(["check", prop, "--input", path, "--method", method], capsys)
+                assert (code, out) == (2, ""), (prop, key, method)
+                assert err.startswith("error: empty "), (prop, key, method)
+
+
+@pytest.mark.parametrize(
+    "prop, doc",
+    [
+        ("consistency", {"quorums": [[1, 2], [2, 3]]}),
+        ("availability", {"quorums": [[1, 2], [3, 4]], "fail_prone": [[1], [3]]}),
+        ("q3", {"fail_prone": [[1, 2], [2, 3]]}),
+        ("q4", {"fail_prone": [[1, 2], [2, 3]]}),
+    ],
+)
+def test_oracle_check_costs_the_members_not_n(tmp_path, capsys, prop, doc):
+    path = write_input(tmp_path, {"n": 10**9, **doc})
+    t0 = time.perf_counter()
+    code, out, _ = run(["check", prop, "--input", path, "--method", "oracle"], capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and out.endswith("oracle: holds\nverdict: holds\n")
 
 
 def test_property_choices_are_the_registry():
@@ -240,6 +270,29 @@ def test_groebner_empty_input_is_the_zero_ideal(capsys):
     )
 
 
+X16 = "*".join(["x1"] * 16)
+
+
+@pytest.mark.parametrize(
+    "argv, header, basis, count",
+    [
+        (["--polys", "x1*x1 + 1"], "x\nn: 1", "  x1 + 1\n", 1),
+        (["--polys", f"{X16} + 1"], "x\nn: 1", "  x1 + 1\n", 1),
+        (["--polys", "x1*x1 + x1"], "x\nn: 1", "  x1^2 + x1\n", 2),
+        (["--polys", "x1*x1*y2 + y2*y2, x2*x2"], "x,y\nn: 2", "  x1*y2 + y2\n  x2\n", 6),
+        (
+            ["--polys", "x1*x1 + x1", "--order", "y,x", "--n", "1"],
+            "y,x\nn: 1", "  y1^2 + y1\n  x1^2 + x1\n", 4,
+        ),
+    ],
+)
+def test_groebner_repeated_variables(capsys, argv, header, basis, count):
+    # a repeated variable is idempotent: x1*x1 is x1, so x1*x1 + x1 is zero
+    code, out, _ = run(["groebner", *argv], capsys)
+    assert code == 0
+    assert out == f"order: {header}\nreduced basis:\n{basis}standard monomials: {count}\n"
+
+
 def test_groebner_drops_generators_that_cancel_to_zero(capsys):
     code, empty, _ = run(["groebner", "--polys", "", "--n", "1"], capsys)
     assert code == 0
@@ -323,7 +376,7 @@ def test_gen_threshold_empty_fail_prone(tmp_path, capsys):
          "--out", out_path], capsys
     )
     assert code == 0
-    doc = json.loads(open(out_path, encoding="utf-8").read())
+    doc = json.loads(Path(out_path).read_text(encoding="utf-8"))
     assert doc["quorums"] == [[1, 2], [1, 3], [2, 3]]
     assert doc["fail_prone"] == [[]]
 
