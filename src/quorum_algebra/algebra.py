@@ -362,12 +362,22 @@ def gf2_zeta(table: int, v: int) -> int:
 def bit_positions(bits: int) -> list[int]:
     """Positions of the set bits of a nonnegative int, ascending.
 
-    Scans the little-endian bytes once and takes the lowest set bit of each
-    nonzero byte in turn, so the cost is linear in the width plus the number
-    of set bits.
+    A sparse int (fewer than min(width / 8, 128) set bits) sheds its highest
+    set bit in turn, which costs a pass over what is left of it, so this is
+    cheap only when there are few bits to shed. Any other int is scanned once
+    as little-endian bytes, taking the lowest set bit of each nonzero byte in
+    turn, so the cost is linear in the width plus the number of set bits.
     """
     out = []
-    for i, byte in enumerate(bits.to_bytes((bits.bit_length() + 7) // 8, "little")):
+    width = bits.bit_length()
+    if bits.bit_count() < min(width >> 3, 128):
+        while bits:
+            top = bits.bit_length() - 1
+            out.append(top)
+            bits ^= 1 << top
+        out.reverse()
+        return out
+    for i, byte in enumerate(bits.to_bytes((width + 7) // 8, "little")):
         base = i << 3
         while byte:
             low = byte & -byte

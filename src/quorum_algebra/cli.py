@@ -7,11 +7,16 @@ byte-deterministic for identical inputs; timing goes to stderr.
 Input files are JSON: {"n": int, "quorums": [[indices]], "fail_prone":
 [[indices]]} with 1-based indices and either system list optional when the
 property does not need it.
+
+The argument parser is built once per process, at the first `main` call, and
+reused after that, so in-process callers of `main` pay only for parsing.
+Help output still wraps to the terminal width at the time it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -262,6 +267,7 @@ def cmd_gen_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qa",

@@ -579,7 +579,7 @@ def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
         return 0
     bits = [1 << b for b in bit_positions(universe)]
     v = len(bits)
-    uniq = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     minimal: list[int] = []
     for m in uniq:
         if not any(k & m == k for k in minimal):
@@ -606,7 +606,7 @@ def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
                 break
             inc.append(m2)
         if not dead:
-            inc_sorted = sorted(set(inc), key=lambda m: (bin(m).count("1"), m))
+            inc_sorted = sorted(set(inc), key=lambda m: (m.bit_count(), m))
             inc_min: list[int] = []
             for m in inc_sorted:
                 if not any(k & m == k for k in inc_min):

@@ -314,6 +314,27 @@ def test_gf2_zeta_sums_over_subsets(v, data):
     assert gf2_zeta(out, v) == table
 
 
-@given(st.integers(0, 1 << 200))
-def test_bit_positions_lists_set_bits_ascending(bits):
-    assert bit_positions(bits) == [k for k in range(bits.bit_length()) if bits >> k & 1]
+def set_bits(bits, width):
+    return [i for i in range(width) if bits >> i & 1]
+
+
+@given(st.data())
+def test_bit_positions_lists_set_bits_ascending(data):
+    # sparse and dense draws take the two sides of the density cut
+    width = data.draw(st.integers(1, 3000))
+    sparse = data.draw(st.sets(st.integers(0, width - 1), max_size=140))
+    bits = sum(1 << i for i in sparse)
+    assert bit_positions(bits) == set_bits(bits, width) == sorted(sparse)
+    bits = data.draw(st.integers(0, (1 << width) - 1))
+    assert bit_positions(bits) == set_bits(bits, width)
+
+
+@pytest.mark.parametrize("width", [8, 64, 300, 1024, 5000])
+def test_bit_positions_either_side_of_the_density_cut(width):
+    cut = min(width >> 3, 128)
+    for k in {0, 1, cut - 1, cut, cut + 1} - {-1}:
+        for bits in (
+            ((1 << k) - 1) << (width - k),  # set bits packed at the top
+            sum(1 << (i * width // max(k, 1)) for i in range(k)),  # spread out
+        ):
+            assert bit_positions(bits) == set_bits(bits, width)

@@ -1,6 +1,10 @@
 """Tests for the qa command line front end, driven in process via main()."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -147,6 +151,19 @@ def test_oracle_check_costs_the_members_not_n(tmp_path, capsys, prop, doc):
     code, out, _ = run(["check", prop, "--input", path, "--method", "oracle"], capsys)
     assert time.perf_counter() - t0 < 5.0
     assert code == 0 and out.endswith("oracle: holds\nverdict: holds\n")
+
+
+def test_oracle_json_report_costs_the_members_not_n(tmp_path, capsys):
+    # the json-like report prints every member's indices
+    path = write_input(tmp_path, {"n": 10**8, "quorums": [[1, 10**8], [1, 2]]})
+    t0 = time.perf_counter()
+    code, out, _ = run(
+        ["check", "consistency", "--input", path, "--method", "oracle", "--format", "json-like"],
+        capsys,
+    )
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 0
+    assert json.loads(out)["quorums"] == [[1, 10**8], [1, 2]]
 
 
 def test_property_choices_are_the_registry():
@@ -401,3 +418,102 @@ def test_gen_threshold_bad_arguments(tmp_path, capsys):
          "--out", str(tmp_path / "gen.json")], capsys
     )
     assert code == 2
+
+
+def call(argv, capsys):
+    """Exit code, stdout and stderr of one main call, stderr timing lines dropped."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    kept = [line for line in err.splitlines(keepends=True) if not line.startswith("timing: ")]
+    return code, out, "".join(kept)
+
+
+GROEBNER = ["groebner", "--polys", "x1*y1 + y1, y1*y2"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["check", "masking", "--input", "{input}", "--format", "json-like"],
+         ["check", "masking", "--input", "{input}"]),
+        ([*GROEBNER, "--order", "y,x"], GROEBNER),
+        (["check", "consistency", "--input", "{input}", "--method", "oracle"],
+         ["check", "consistency", "--input", "{input}"]),
+        (["check", "nope", "--input", "{input}"], ["check", "q3", "--input", "{input}"]),
+    ],
+)
+def test_reused_parser_leaks_no_state(tmp_path, capsys, first, second):
+    path = write_input(tmp_path, TRIANGLE)
+    calls = [[a.format(input=path) for a in argv] for argv in (first, second, first)]
+    cli.build_parser.cache_clear()
+    reused = [call(argv, capsys) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv, capsys))
+    assert reused == fresh
+    assert reused[0] != reused[1]
+
+
+def test_parser_tree_is_built_once(tmp_path, capsys, monkeypatch):
+    path = write_input(tmp_path, TRIANGLE)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert call(["check", "consistency", "--input", path], capsys)[0] == 0
+        assert call(GROEBNER, capsys)[0] == 0
+    # the root parser and its three subcommands
+    assert len(built) == 4
+
+
+def test_parser_is_not_built_at_import():
+    code = (
+        "import quorum_algebra.cli as cli; "
+        "print(cli.build_parser.cache_info().currsize)"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0\n"
+
+
+def help_text(argv, capsys):
+    code, out, err = call([*argv, "--help"], capsys)
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_help_wraps_to_the_width_at_call_time(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    texts = {}
+    for columns in ("40", "200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        texts.setdefault(columns, set()).add(help_text(["check"], capsys))
+    assert len(texts["40"]) == len(texts["200"]) == 1
+    narrow, wide = texts["40"].pop(), texts["200"].pop()
+    help_line = "report style (stable key order either way)"
+    assert help_line in wide and help_line not in narrow
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+
+
+@pytest.mark.parametrize("argv", [[], ["check"], ["groebner"], ["gen-threshold"]])
+def test_help_from_the_reused_parser_matches_a_fresh_one(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli.build_parser.cache_clear()
+    help_text(["groebner"], capsys)
+    reused = help_text(argv, capsys)
+    cli.build_parser.cache_clear()
+    assert reused == help_text(argv, capsys)
