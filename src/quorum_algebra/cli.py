@@ -62,6 +62,8 @@ def load_system_file(path: str) -> tuple[int, SetSystem | None, SetSystem | None
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -182,8 +184,11 @@ def _split_polys(text: str) -> list[str]:
 def cmd_groebner(args: argparse.Namespace) -> int:
     text = args.polys
     if os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{text} is not UTF-8 text: {exc}") from exc
     pieces = _split_polys(text)
 
     n = args.n

@@ -147,11 +147,11 @@ def phi_inv(p: ProcessSubset) -> frozenset[int]:
 class SetSystem:
     """An ordered collection of distinct process subsets over one ambient n.
 
-    Whether the members form an antichain is recorded, not enforced:
+    Whether the members form an antichain is reported, not enforced:
     downward closures are legitimate set systems.
     """
 
-    __slots__ = ("_n", "_members", "is_antichain")
+    __slots__ = ("_n", "_members")
 
     def __init__(self, n: int, members: Iterable[ProcessSubset]):
         ms = tuple(members)
@@ -165,10 +165,6 @@ class SetSystem:
             raise ValueError("duplicate members in set system")
         self._n = n
         self._members = ms
-        # members are distinct, so a meet equal to either mask is a strict containment
-        self.is_antichain = not any(
-            (meet := a & b) == a or meet == b for a, b in combinations(masks, 2)
-        )
 
     @classmethod
     def from_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> "SetSystem":
@@ -181,6 +177,13 @@ class SetSystem:
     @property
     def members(self) -> tuple[ProcessSubset, ...]:
         return self._members
+
+    @property
+    def is_antichain(self) -> bool:
+        """No member contains another; computed on each access, O(m^2) in the members."""
+        masks = [m.mask for m in self._members]
+        # members are distinct, so a meet equal to either mask is a strict containment
+        return not any((meet := a & b) == a or meet == b for a, b in combinations(masks, 2))
 
     def __len__(self) -> int:
         return len(self._members)

@@ -33,24 +33,21 @@ its lcm and neither (i, h) nor (j, h) has the same lcm. A field pair (g, x)
 is the pair of g with x^2 + x, whose ordinary-ring lcm is LM(g) * x^2, one
 degree above LM(g), so the same criteria cover it. An active element whose
 leading monomial LM(h) divides is retired: it gets no new pairs and no
-longer reduces, but its pending pairs are still reduced. The coprime
-criterion and the chain criteria (M, F, B_k and retirement) can be
-toggled; the reduced basis is the same either way, which the test suite
-checks. GroebnerStats counts what a run did.
+longer reduces, but its pending pairs are still reduced. GroebnerStats
+counts what a run did.
 
-With the coprime criterion on, a prelude solves the generators that live
-in one block before the main loop. Each block is an n-bit field of the
-mask; a block's generators shifted down to the lowest field are its
-system, and each distinct system is solved once by the same pair loop on
-n-bit masks, then reduced and shifted onto every block that carries it.
-The main loop starts from the union of these bases and adds the other
-generators and the products as usual. This is exact: shifting renames
-variables within a block and keeps their order, so a shifted basis is a
-Boolean Groebner basis on its block, and the leading monomials of
-different blocks are coprime, so by the coprime criterion the pairs
-across blocks reduce to zero and the union is a Boolean Groebner basis of
-the sum. The seeded elements therefore get no pairs with each other and
-no field pairs.
+A prelude solves the generators that live in one block before the main
+loop. Each block is an n-bit field of the mask; a block's generators
+shifted down to the lowest field are its system, and each distinct system
+is solved once by the same pair loop on n-bit masks, then reduced and
+shifted onto every block that carries it. The main loop starts from the
+union of these bases and adds the other generators and the products as
+usual. This is exact: shifting renames variables within a block and keeps
+their order, so a shifted basis is a Boolean Groebner basis on its block,
+and the leading monomials of different blocks are coprime, so by the
+coprime criterion the pairs across blocks reduce to zero and the union is
+a Boolean Groebner basis of the sum. The seeded elements therefore get no
+pairs with each other and no field pairs.
 """
 
 from __future__ import annotations
@@ -242,7 +239,6 @@ class GroebnerCertificate:
     n: int
     sm_count: int
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
-    _sub_counts: dict[tuple[str, ...], int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def blocks(self) -> tuple[str, ...]:
@@ -251,13 +247,9 @@ class GroebnerCertificate:
     def sm_count_for(self, keep_blocks: tuple[str, ...]) -> int:
         """Standard monomials of the elimination sub-basis over a block suffix."""
         keep = tuple(keep_blocks)
-        if keep not in self._sub_counts:
-            sub = elimination_subbasis(self, keep)
-            suborder = BlockLexOrder(keep)
-            self._sub_counts[keep] = standard_monomial_count(
-                sub, suborder.variables(self.n), suborder
-            )
-        return self._sub_counts[keep]
+        suborder = BlockLexOrder(keep)
+        sub = elimination_subbasis(self, keep)
+        return standard_monomial_count(sub, suborder.variables(self.n), suborder)
 
 
 def reduce_once(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
@@ -312,26 +304,8 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
     return Polynomial(f.n, out)
 
 
-def _run_buchberger(
-    B: IdealBasis, use_coprime: bool, use_chain: bool
-) -> tuple[list[tuple[int, ...]], GroebnerStats]:
-    """Boolean Groebner basis of B: the active elements left when the pairs run out."""
-    stats = GroebnerStats()
-    blocks, n = B.order.blocks, B.n
-
-    def engine(g: Polynomial) -> tuple[int, ...]:
-        return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
-
-    gens = [engine(g) for g in B.generators]
-    products = [[engine(f) for f in factors] for factors in B.products]
-    seeds: list[tuple[int, ...]] = []
-    if use_coprime:
-        gens, seeds = _solve_blocks(gens, n, use_chain, stats)
-    return _pair_loop(gens, products, seeds, len(blocks) * n, use_coprime, use_chain, stats), stats
-
-
 def _solve_blocks(
-    gens: list[tuple[int, ...]], n: int, use_chain: bool, stats: GroebnerStats
+    gens: list[tuple[int, ...]], n: int, stats: GroebnerStats
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Solve the generators that live in one block, each distinct system once.
 
@@ -358,7 +332,7 @@ def _solve_blocks(
         basis = solved.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            active = _pair_loop(system, [], [], n, True, use_chain, stats)
+            active = _pair_loop(system, [], [], n, stats)
             basis = solved[key] = _reduce_basis(active, n)
         else:
             stats.blocks_reused += 1
@@ -371,8 +345,6 @@ def _pair_loop(
     products: list[list[tuple[int, ...]]],
     seeds: list[tuple[int, ...]],
     v: int,
-    use_coprime: bool,
-    use_chain: bool,
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]]:
     """Buchberger's pair loop over v-bit masks; returns the active elements
@@ -398,45 +370,38 @@ def _pair_loop(
         lm = p[0]
         pairs: list[tuple[int, int]] = []  # (lcm, i) for the pairs (i, idx) to queue
         gone: list[int] = []  # active elements p retires
-        if not use_chain:
-            for i in active:
-                if use_coprime and not lms[i] & lm:
-                    stats.dropped_coprime += 1
-                else:
-                    pairs.append((lms[i] | lm, i))
-        else:
-            # Criterion B_k on the pending pairs.
-            kept = [e for e in heap if e[1] & lm != lm or not _chain_through(e, lm, lms)]
-            if len(kept) != len(heap):
-                stats.dropped_bk += len(heap) - len(kept)
-                heap[:] = kept
-                heapq.heapify(heap)
-            # The new pairs, grouped by lcm L; every member's LM divides L.
-            # Criterion M drops a group when the table holds more divisors of
-            # L than its members: the pair of p with such a divisor has an lcm
-            # strictly dividing L. Criterion F keeps the earliest pair of a
-            # group, and none when a member is coprime with p.
-            first: dict[int, int] = {}
-            size: dict[int, int] = {}
-            coprime: set[int] = set()  # lcms of groups with a coprime member
-            ncoprime = 0
-            for i in active:
-                l = lms[i] | lm
-                if l == lms[i]:
-                    gone.append(i)
-                if use_coprime and not lms[i] & lm:
-                    coprime.add(l)
-                    ncoprime += 1
-                if l in size:
-                    size[l] += 1
-                else:
-                    first[l] = i
-                    size[l] = 1
-            for l, i in first.items():
-                if l not in coprime and divisors.of(l).bit_count() == size[l]:
-                    pairs.append((l, i))
-            stats.dropped_coprime += ncoprime
-            stats.dropped_mf += len(active) - ncoprime - len(pairs)
+        # Criterion B_k on the pending pairs.
+        kept = [e for e in heap if e[1] & lm != lm or not _chain_through(e, lm, lms)]
+        if len(kept) != len(heap):
+            stats.dropped_bk += len(heap) - len(kept)
+            heap[:] = kept
+            heapq.heapify(heap)
+        # The new pairs, grouped by lcm L; every member's LM divides L.
+        # Criterion M drops a group when the table holds more divisors of
+        # L than its members: the pair of p with such a divisor has an lcm
+        # strictly dividing L. Criterion F keeps the earliest pair of a
+        # group, and none when a member is coprime with p.
+        first: dict[int, int] = {}
+        size: dict[int, int] = {}
+        coprime: set[int] = set()  # lcms of groups with a coprime member
+        ncoprime = 0
+        for i in active:
+            l = lms[i] | lm
+            if l == lms[i]:
+                gone.append(i)
+            if not lms[i] & lm:
+                coprime.add(l)
+                ncoprime += 1
+            if l in size:
+                size[l] += 1
+            else:
+                first[l] = i
+                size[l] = 1
+        for l, i in first.items():
+            if l not in coprime and divisors.of(l).bit_count() == size[l]:
+                pairs.append((l, i))
+        stats.dropped_coprime += ncoprime
+        stats.dropped_mf += len(active) - ncoprime - len(pairs)
         for l, i in pairs:
             heapq.heappush(heap, (l.bit_count(), l, seq, i, idx))
             seq += 1
@@ -448,7 +413,7 @@ def _pair_loop(
             common &= t
         stats.dropped_field += common.bit_count()
         fields = lm & ~common
-        if use_chain and fields and divisors.of(lm):
+        if fields and divisors.of(lm):
             stats.dropped_mf += fields.bit_count()
             fields = 0
         stats.pairs_queued += len(pairs) + fields.bit_count()
@@ -540,9 +505,7 @@ def _reduce_basis(basis: list[tuple[int, ...]], v: int) -> list[tuple[int, ...]]
     return sorted(reduced, reverse=True)
 
 
-def buchberger(
-    B: IdealBasis, *, use_coprime: bool = True, use_chain: bool = True
-) -> GroebnerCertificate:
+def buchberger(B: IdealBasis) -> GroebnerCertificate:
     """Reduced Boolean Groebner basis of <generators, products>.
 
     The zero ideal's basis is empty. The standard monomial count is over
@@ -551,8 +514,14 @@ def buchberger(
     """
     blocks, n = B.order.blocks, B.n
     v = len(blocks) * n
-    active, stats = _run_buchberger(B, use_coprime, use_chain)
-    reduced = _reduce_basis(active, v)
+    stats = GroebnerStats()
+
+    def engine(g: Polynomial) -> tuple[int, ...]:
+        return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
+
+    gens, seeds = _solve_blocks([engine(g) for g in B.generators], n, stats)
+    products = [[engine(f) for f in factors] for factors in B.products]
+    reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     polys = tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in reduced)
     count = _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
@@ -573,17 +542,21 @@ def elimination_subbasis(cert: GroebnerCertificate, keep_blocks: tuple[str, ...]
     return tuple(g for g in cert.basis if g.blocks() <= keepset)
 
 
+def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct masks that no other mask divides, fewest bits first."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in out):
+            out.append(m)
+    return tuple(out)
+
+
 def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
     """Count the submasks of universe that no mask divides; the masks lie in it."""
     if any(m == 0 for m in masks):
         return 0
     bits = [1 << b for b in bit_positions(universe)]
     v = len(bits)
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    minimal: list[int] = []
-    for m in uniq:
-        if not any(k & m == k for k in minimal):
-            minimal.append(m)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def rec(i: int, active: tuple[int, ...]) -> int:
@@ -606,16 +579,11 @@ def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
                 break
             inc.append(m2)
         if not dead:
-            inc_sorted = sorted(set(inc), key=lambda m: (m.bit_count(), m))
-            inc_min: list[int] = []
-            for m in inc_sorted:
-                if not any(k & m == k for k in inc_min):
-                    inc_min.append(m)
-            res += rec(i + 1, tuple(inc_min))
+            res += rec(i + 1, _minimal(inc))
         memo[key] = res
         return res
 
-    return rec(0, tuple(minimal))
+    return rec(0, _minimal(masks))
 
 
 def _sm_count_enumerate(masks: Sequence[int], universe: int) -> int:

@@ -201,6 +201,11 @@ def test_check_unreadable_inputs(tmp_path, capsys):
     broken.write_text("{nope", encoding="utf-8")
     code, _, err = run(["check", "consistency", "--input", str(broken)], capsys)
     assert code == 2 and "not valid JSON" in err
+    # bytes that are not UTF-8 are an input error; exit 1 would read as "fails"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(["check", "consistency", "--input", str(binary)], capsys)
+    assert code == 2 and out == "" and "not UTF-8" in err
 
 
 def test_check_is_deterministic(tmp_path, capsys):
@@ -328,7 +333,7 @@ def test_groebner_explicit_order_and_file(tmp_path, capsys):
     assert out.startswith("order: y,x\nn: 2\n")
 
 
-def test_groebner_errors(capsys):
+def test_groebner_errors(tmp_path, capsys):
     code, _, err = run(["groebner", "--polys", ""], capsys)
     assert code == 2 and "pass --n" in err
     code, _, err = run(["groebner", "--polys", "x1 +"], capsys)
@@ -337,6 +342,10 @@ def test_groebner_errors(capsys):
     assert code == 2
     code, _, err = run(["groebner", "--polys", "y1", "--order", "x"], capsys)
     assert code == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"x1 + \xff\xfe")
+    code, out, err = run(["groebner", "--polys", str(binary)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and "not UTF-8" in err
 
 
 @pytest.mark.parametrize("polys", ["x100000", "x1000000"])
