@@ -1,10 +1,11 @@
 """Quorum-system property checkers built on Groebner basis certificates.
 
-Every property is one entry of PROPERTIES: the characteristic polynomials
-of the input systems on named variable blocks, plus one relation product
-tying the blocks together. The ideal's variety over the Boolean cube is the
-set of tuples witnessing the property, so the property holds exactly when
-the reduced Groebner basis has as many standard monomials as the property
+Every property is one entry of PROPERTIES: a set system on each named
+variable block, whose ideal is that of its members as points (the zero set
+of its characteristic polynomial), plus one relation product tying the
+blocks together. The ideal's variety over the Boolean cube is the set of
+tuples witnessing the property, so the property holds exactly when the
+reduced Groebner basis has as many standard monomials as the property
 predicts. Classical consistency also has a trivial-ideal route, which flips
 the overlap constraint and holds exactly when the reduced basis is {1}.
 """
@@ -21,12 +22,15 @@ from .algebra import BlockLexOrder, Polynomial
 from .encoding import (
     ProcessSubset,
     SetSystem,
+    _field_mask,
     cover_poly,
-    downset_poly,
     overlap_poly,
-    system_char_poly,
     uncovered_meet_poly,
 )
+
+# Not called here: the blocks enter the engine as points. Benchmark tracing
+# wraps these names of this module, so they stay importable from it.
+from .encoding import downset_poly, system_char_poly  # noqa: F401
 from .groebner import GroebnerCertificate, IdealBasis, buchberger
 from .oracle import fstar_enumerate
 
@@ -63,13 +67,13 @@ class Property:
     reads: the input systems, in argument order. order: the blocks, most
     significant first. encodes: the set system on each block, one of
     "quorums", "fail_prone", "complements" (of the fail-prone sets) or
-    "downset" (the downward closure F*, entered as the downset_poly
-    product). relation(n): the factors f_i of the product tying the blocks
-    together. With flip, the ideal takes product + 1 instead, entered as
-    the generators f_i + 1, which generate the same Boolean ideal and are
-    small (x_i * y_i for the overlap factors). The expected count is the
-    product of the sizes of the systems on the count blocks (all blocks
-    when None).
+    "downset" (the downward closure F*); its members enter the engine as
+    the block's points. relation(n): the factors f_i of the product tying
+    the blocks together. With flip, the ideal takes product + 1 instead,
+    entered as the generators f_i + 1, which generate the same Boolean
+    ideal and are small (x_i * y_i for the overlap factors). The expected
+    count is the product of the sizes of the systems on the count blocks
+    (all blocks when None).
     """
 
     label: str
@@ -177,25 +181,22 @@ def _decide(
     if method not in ("sm-count", "trivial-ideal"):
         raise ValueError(f"unknown method {method!r}")
 
-    gens: list[Polynomial] = []
-    products: list[tuple[Polynomial, ...]] = []
-    for block, source in prop.encodes:
-        if source == "downset":
-            products.append(downset_poly(systems["fail_prone"], block))
-        else:
-            gens.append(system_char_poly(_members(source, systems), block))
+    members = {block: _members(source, systems) for block, source in prop.encodes}
+    points = tuple((b, frozenset(_field_mask(m) for m in system)) for b, system in members.items())
     relation = prop.relation(n)
+    gens: tuple[Polynomial, ...] = ()
+    products: tuple[tuple[Polynomial, ...], ...] = ()
     if prop.flip or method == "trivial-ideal":
         # With g = prod f_j + 1, g * (f_i + 1) = f_i + 1 and g vanishes modulo
         # every f_i + 1, so the factor complements generate the ideal of g.
-        gens.extend(f + Polynomial.one(n) for f in relation)
+        gens = tuple(g for g in (f + Polynomial.one(n) for f in relation) if not g.is_zero)
     else:
-        products.append(relation)
-    nonzero = tuple(g for g in gens if not g.is_zero)
-    cert = buchberger(IdealBasis(nonzero, BlockLexOrder(prop.order), n, products=tuple(products)))
+        products = (relation,)
+    order = BlockLexOrder(prop.order)
+    cert = buchberger(IdealBasis(gens, order, n, products, points))
 
     counted = prop.count or prop.order
-    expected = math.prod(len(_members(s, systems)) for b, s in prop.encodes if b in counted)
+    expected = math.prod(len(system) for b, system in members.items() if b in counted)
     if method == "trivial-ideal":
         trivial = len(cert.basis) == 1 and cert.basis[0].is_one
         return Verdict(prop.label, trivial, expected, None, cert, method)

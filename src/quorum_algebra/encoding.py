@@ -27,13 +27,12 @@ the number of members contained in T. system_char_poly reads all of these
 coefficients off one F2 subset-sum transform of the member bitset.
 
 The relation polynomials at the bottom tie separate variable blocks
-together: containment_poly vanishes where one support contains another,
-overlap_poly where supports meet, uncovered_meet_poly where a meet escapes
-a covering block, downset_poly exactly on the downward closure of a set
-system, and cover_poly takes value 1 where the blocks jointly cover every
-process. The last four return the factors of their product, which the
-Groebner engine multiplies out modulo the basis it has built so far;
-bool_product(...) gives the expansion.
+together: overlap_poly vanishes where supports meet, uncovered_meet_poly
+where a meet escapes a covering block, downset_poly exactly on the downward
+closure of a set system, and cover_poly takes value 1 where the blocks
+jointly cover every process. They return the factors of their product,
+which the Groebner engine multiplies out modulo the basis it has built so
+far; bool_product(...) gives the expansion.
 """
 
 from __future__ import annotations
@@ -348,24 +347,11 @@ def system_char_poly(system: SetSystem, block: str) -> Polynomial:
     return Polynomial(n, (t << shift for t in bit_positions(coeffs)))
 
 
-def containment_poly(n: int, outer_block: str, inner_block: str) -> Polynomial:
-    """Vanishes at (p, q) exactly when the inner support lies inside the outer.
-
-    One factor per index: outer_i * inner_i + inner_i + 1, which is 0 only
-    when inner_i = 1 and outer_i = 0, so the product is 1 + 1 = 0 exactly
-    when no inner member escapes the outer support.
-    """
-    o, inn = _column((outer_block,), n), _column((inner_block,), n)
-    factors = (Polynomial(n, ((o | inn) >> k, inn >> k, 0)) for k in range(n))
-    return bool_product(factors, n) + Polynomial.one(n)
-
-
 def fixed_containment_poly(outer: ProcessSubset, inner_block: str) -> Polynomial:
-    """containment_poly with the outer support fixed to a constant subset.
+    """Vanishes on the inner block exactly at the subsets of the fixed outer set.
 
-    Reduces to the product of (V_i + 1) over indices outside the support,
-    plus 1: zero exactly at the subsets of the fixed outer set. Expanded,
-    that is the sum of every nonempty product of those V_i.
+    The product of (V_i + 1) over indices outside the support, plus 1.
+    Expanded, that is the sum of every nonempty product of those V_i.
     """
     n = outer.n
     shift = field_shift(inner_block, n)

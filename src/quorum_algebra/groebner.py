@@ -40,14 +40,21 @@ A prelude solves the generators that live in one block before the main
 loop. Each block is an n-bit field of the mask; a block's generators
 shifted down to the lowest field are its system, and each distinct system
 is solved once by the same pair loop on n-bit masks, then reduced and
-shifted onto every block that carries it. The main loop starts from the
-union of these bases and adds the other generators and the products as
-usual. This is exact: shifting renames variables within a block and keeps
-their order, so a shifted basis is a Boolean Groebner basis on its block,
-and the leading monomials of different blocks are coprime, so by the
-coprime criterion the pairs across blocks reduce to zero and the union is
-a Boolean Groebner basis of the sum. The seeded elements therefore get no
-pairs with each other and no field pairs.
+shifted onto every block that carries it. A block given by its points
+instead is the ideal of that point set, I(P), and its reduced basis is
+built from the points without a pair loop (_point_basis). The main loop
+starts from the union of these bases and adds the other generators and the
+products as usual. This is exact: shifting renames variables within a
+block and keeps their order, so a shifted basis is a Boolean Groebner basis
+on its block, and the leading monomials of different blocks are coprime, so
+by the coprime criterion the pairs across blocks reduce to zero and the
+union is a Boolean Groebner basis of the sum. The seeded elements therefore
+get no pairs with each other and no field pairs.
+
+When every block is given by its points and no generator is left, the
+seeds generate I(V0), V0 the product of the block point sets, and a product
+that is zero at every point of V0 already lies in that ideal. Such products
+are dropped before the pair loop (_nonvanishing).
 """
 
 from __future__ import annotations
@@ -63,9 +70,14 @@ from .algebra import (
     Polynomial,
     Variable,
     bit_positions,
+    field_shift,
     gf2_zeta,
     move_fields,
 )
+
+# Above this many points of V0, products are folded without evaluating them
+# first: one value bitset of V0 is then 512 KB.
+_V0_LIMIT = 1 << 22
 
 
 def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
@@ -178,15 +190,23 @@ class IdealBasis:
     more generator; buchberger multiplies it out modulo the partial basis
     rather than expanding it. A zero factor is allowed and makes the product
     zero; an empty product is 1.
+
+    Each entry of points is a block and a set of n-bit masks, index 1 on the
+    field's top bit (as encoding._field_mask gives): the ideal then also
+    holds I(points) on that block, the polynomials in that block's variables
+    vanishing at every listed point. An empty set puts 1 in the ideal. A
+    block with points takes no generator of its own variables only.
     """
 
     generators: tuple[Polynomial, ...]
     order: BlockLexOrder
     n: int
     products: tuple[tuple[Polynomial, ...], ...] = ()
+    points: tuple[tuple[str, frozenset[int]], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "products", tuple(tuple(p) for p in self.products))
+        object.__setattr__(self, "points", tuple((b, frozenset(m)) for b, m in self.points))
         for g in self.generators:
             self._check(g, "generator")
             if g.is_zero:
@@ -194,6 +214,17 @@ class IdealBasis:
         for factors in self.products:
             for g in factors:
                 self._check(g, "product factor")
+        blocks = [b for b, _ in self.points]
+        if len(set(blocks)) < len(blocks):
+            raise ValueError(f"a block is listed twice in points {blocks}")
+        for b, masks in self.points:
+            if b not in self.order.blocks:
+                raise ValueError(f"points on block {b!r} outside {self.order.blocks}")
+            if any(m < 0 or m >> self.n for m in masks):
+                raise ValueError(f"points on block {b!r} must be masks of {self.n} bits")
+        for g in self.generators:
+            if len(g.blocks()) == 1 and g.blocks() <= set(blocks):
+                raise ValueError(f"generator {g} lives only in a block given by points")
 
     def _check(self, g: Polynomial, what: str) -> None:
         if not isinstance(g, Polynomial):
@@ -222,10 +253,11 @@ class GroebnerStats(SimpleNamespace):
             reductions_zero=0,
             reductions_nonzero=0,
             products_folded=0,
+            products_vanished=0,  # products zero on every point of V0, never folded
             retired=0,
             max_active=0,
-            blocks_solved=0,  # distinct one-block systems solved on their own
-            blocks_reused=0,  # blocks seeded with the basis of an equal system
+            blocks_solved=0,  # distinct one-block systems or point sets solved on their own
+            blocks_reused=0,  # blocks seeded with the basis of an equal system or point set
         )
 
 
@@ -305,9 +337,10 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
 
 
 def _solve_blocks(
-    gens: list[tuple[int, ...]], n: int, stats: GroebnerStats
+    gens: list[tuple[int, ...]], points: dict[int, frozenset[int]], n: int, stats: GroebnerStats
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Solve the generators that live in one block, each distinct system once.
+    """Solve the generators that live in one block, and the blocks given by
+    points (shift -> point set), each distinct system or point set once.
 
     Blocks are the n-bit fields of a mask. A block's generators, shifted down
     to the lowest field, are one system; its reduced basis on n-bit masks is
@@ -325,19 +358,128 @@ def _solve_blocks(
             systems.setdefault(shift, []).append(tuple(t >> shift for t in p))
         else:
             rest.append(p)
-    solved: dict[frozenset[tuple[int, ...]], list[tuple[int, ...]]] = {}
+    # a system is keyed by its generators, a point set by its bitset
+    jobs: list[tuple[int, frozenset | int]] = [(s, frozenset(gs)) for s, gs in systems.items()]
+    jobs += [(shift, sum(1 << p for p in pts)) for shift, pts in points.items()]
+    solved: dict[frozenset | int, list[tuple[int, ...]]] = {}
     seeds: list[tuple[int, ...]] = []
-    for shift, system in systems.items():
-        key = frozenset(system)
+    for shift, key in jobs:
         basis = solved.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            active = _pair_loop(system, [], [], n, stats)
-            basis = solved[key] = _reduce_basis(active, n)
+            if isinstance(key, int):
+                elements = _point_basis(key, 1 << n, {}).values()
+                basis = [tuple(bit_positions(g)[::-1]) for g in elements]
+            else:
+                basis = _reduce_basis(_pair_loop(list(key), [], [], n, stats), n)
+            solved[key] = basis
         else:
             stats.blocks_reused += 1
         seeds.extend(tuple(t << shift for t in g) for g in basis)
     return rest, seeds
+
+
+# Point sets, value tables and polynomials below are bitsets over the size
+# masks of a cube, size a power of two: bit p of a point set or table is
+# the point p, bit m of a polynomial its monomial m. Splitting such a
+# bitset at half = size / 2 splits on the top variable x: the low half has
+# x = 0 (or no x), the high half x = 1, x dropped. The standard monomials
+# of I(P) under lex follow the same split (Cerlienco and Mureddu, Discrete
+# Math. 139, 1995): std(P) = std(P0 | P1) + x * std(P0 & P1).
+
+
+def _interpolate(points: int, values: int, size: int) -> int:
+    """The polynomial over the lex standard monomials of I(points) that
+    takes values on points; values must lie within points.
+
+    Write it f0 + x * f1 with f0 over std(P0 | P1) and f1 over
+    std(P0 & P1). It is f0 on P0 and f0 + f1 on P1, so f1 takes v0 + v1 on
+    P0 & P1, and then f0 is fixed on P0 | P1.
+    """
+    if not values:
+        return 0
+    if points == (1 << size) - 1:
+        return gf2_zeta(values, size.bit_length() - 1)
+    half = size >> 1
+    low = (1 << half) - 1
+    p0, p1, v0, v1 = points & low, points >> half, values & low, values >> half
+    both = p0 & p1
+    f1 = _interpolate(both, (v0 ^ v1) & both, half)
+    t1 = gf2_zeta(f1, half.bit_length() - 1)  # f1's values
+    f0 = _interpolate(p0 | p1, v0 & p0 | (v1 ^ t1) & p1 & ~p0, half)
+    return f0 | f1 << half
+
+
+def _point_basis(points: int, size: int, memo: dict) -> dict[int, int]:
+    """Reduced lex basis of I(points), leading monomial -> element, with no pair loop.
+
+    I(P) has the basis of I(P0 | P1), which leaves x out, and for each
+    element g of the basis of I(P0 & P1) whose leading monomial m does not
+    lead one of those, the element x * g + f0 with f0 over std(P0 | P1). It
+    is zero on P0 and takes g's values on P1 - P0, where x * g does not
+    vanish. Its terms are standard and it vanishes on P, so it is reduced.
+    """
+    if points == (1 << size) - 1:
+        return {}
+    if not points:
+        return {0: 1}
+    key = (points, size)
+    if key in memo:
+        return memo[key]
+    half = size >> 1
+    low = (1 << half) - 1
+    p0, p1 = points & low, points >> half
+    basis = dict(_point_basis(p0 | p1, half, memo))
+    only1 = p1 & ~p0
+    for m, g in _point_basis(p0 & p1, half, memo).items():
+        if m not in basis:
+            t = gf2_zeta(g, half.bit_length() - 1) & only1
+            basis[half | m] = g << half | _interpolate(p0 | p1, t, half)
+    memo[key] = basis
+    return basis
+
+
+def _nonvanishing(
+    products: list[list[tuple[int, ...]]], points: dict[int, frozenset[int]], n: int
+) -> list[list[tuple[int, ...]]]:
+    """The products that are not zero at every point of V0, the product of
+    the point sets of all blocks (shift -> point set).
+
+    A point of V0 is a tuple of block points, numbered in mixed radix with
+    the top block most significant, so the values of a term are the
+    Kronecker product of its per-block values. The Kronecker product A (x) R
+    with R over the lower blocks is the integer product of R with A's bits
+    spread to the multiples of R's width, as the shifted copies of R do not
+    overlap. Over _V0_LIMIT points every product is kept.
+    """
+    fields = []
+    width = 1
+    for shift, pts in sorted(points.items()):  # bottom block first
+        fields.append((shift, sorted(pts, reverse=True), "0" * (width - 1)))
+        width *= len(pts)
+    if width > _V0_LIMIT:
+        return products
+    spread: dict[tuple[int, int], int] = {}  # (shift, block monomial) -> its values, spread
+    kept = []
+    for factors in products:
+        acc = (1 << width) - 1
+        for factor in factors:
+            table = 0
+            for t in factor:
+                r = 1
+                for shift, pts, gap in fields:
+                    m = t >> shift & ((1 << n) - 1)
+                    if (shift, m) not in spread:
+                        bits = gap.join("1" if p & m == m else "0" for p in pts)
+                        spread[shift, m] = int("0" + bits, 2)
+                    r *= spread[shift, m]
+                table ^= r
+            acc &= table
+            if not acc:
+                break
+        if acc:
+            kept.append(factors)
+    return kept
 
 
 def _pair_loop(
@@ -519,9 +661,20 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     def engine(g: Polynomial) -> tuple[int, ...]:
         return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
 
-    gens, seeds = _solve_blocks([engine(g) for g in B.generators], n, stats)
+    points = {field_shift(b, n, blocks): pts for b, pts in B.points}
+    gens, seeds = _solve_blocks([engine(g) for g in B.generators], points, n, stats)
     products = [[engine(f) for f in factors] for factors in B.products]
-    reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
+    if products and len(points) == len(blocks) and not gens:
+        # the seeds generate I(V0), which holds every product zero on V0
+        kept = _nonvanishing(products, points, n)
+        stats.products_vanished = len(products) - len(kept)
+        products = kept
+    if gens or products:
+        reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
+    else:
+        # each block's basis is reduced, and no block's leading monomials divide another's terms
+        stats.max_active = len(seeds)
+        reduced = [(0,)] if (0,) in seeds else sorted(seeds, reverse=True)
     polys = tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in reduced)
     count = _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
@@ -552,7 +705,26 @@ def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
-    """Count the submasks of universe that no mask divides; the masks lie in it."""
+    """Count the submasks of universe that no mask divides; the masks lie in it.
+
+    Masks over disjoint sets of variables are counted apart, and the counts
+    multiply; the variables of no mask double the count.
+    """
+    parts: dict[int, list[int]] = {}  # variables -> the masks on them; no two share one
+    for m in masks:
+        support, group = m, [m]
+        for variables in [k for k in parts if k & m]:
+            support |= variables
+            group += parts.pop(variables)
+        parts[support] = group
+    count = 1 << universe.bit_count()
+    for variables, group in parts.items():
+        count = (count >> variables.bit_count()) * _sm_count_connected(group, variables)
+    return count
+
+
+def _sm_count_connected(masks: Sequence[int], universe: int) -> int:
+    """_sm_count_masks on masks that share variables, by recursion on the variables."""
     if any(m == 0 for m in masks):
         return 0
     bits = [1 << b for b in bit_positions(universe)]
@@ -586,30 +758,12 @@ def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
     return rec(0, _minimal(masks))
 
 
-def _sm_count_enumerate(masks: Sequence[int], universe: int) -> int:
-    if universe.bit_count() > 12:
-        raise ValueError("exhaustive standard monomial count is limited to 12 variables")
-    count = 0
-    p = universe
-    while True:
-        if not any(m & p == m for m in masks):
-            count += 1
-        if not p:
-            return count
-        p = (p - 1) & universe
-
-
 def standard_monomial_count(
     basis: Iterable[Polynomial],
     variables: Sequence[Variable],
     order: BlockLexOrder,
-    method: str = "recurse",
 ) -> int:
-    """Number of squarefree monomials over `variables` no LM of `basis` divides.
-
-    With method="enumerate" all 2^len(variables) monomials are checked
-    directly (reference path, at most 12 variables).
-    """
+    """Number of squarefree monomials over `variables` no LM of `basis` divides."""
     basis = tuple(basis)
     n = basis[0].n if basis else max((var.index for var in variables), default=1)
     universe = 0
@@ -621,11 +775,7 @@ def standard_monomial_count(
             raise ValueError("ambient dimension mismatch")
         if lm & ~universe:
             raise ValueError(f"leading monomial of {g} uses variables outside the universe")
-    if method == "recurse":
-        return _sm_count_masks(masks, universe)
-    if method == "enumerate":
-        return _sm_count_enumerate(masks, universe)
-    raise ValueError(f"unknown method {method!r}")
+    return _sm_count_masks(masks, universe)
 
 
 def _truth_table_bitset(g: Polynomial, blocks: tuple[str, ...]) -> int:

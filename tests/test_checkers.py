@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rand_system, seeded
+from helpers import assert_is_reduced_basis, rand_system, seeded
+from quorum_algebra import checkers
 from quorum_algebra.checkers import (
     PROPERTIES,
     ThresholdError,
@@ -99,6 +100,39 @@ def test_flipped_relation_enters_as_factor_complements():
                 except ThresholdError:
                     continue
                 _assert_flip_matches_expansion(*systems)
+
+
+def test_checker_certificates_are_the_variety_reduced_bases(monkeypatch):
+    """Every checker's ideal and certificate, checked by their variety, at up
+    to 12 variables: blocks given by points keep only those points."""
+    seen = []
+
+    def recording(B):
+        cert = buchberger(B)
+        seen.append((B, cert))
+        return cert
+
+    monkeypatch.setattr(checkers, "buchberger", recording)
+    rng = seeded(46)
+    cases = [(name, rand_system(3, rng), rand_system(3, rng)) for name in PROPERTIES for _ in range(4)]
+    for name, n in (("consistency", 6), ("availability", 6), ("dissemination", 4),
+                    ("masking", 3), ("q3", 4), ("q4", 3)):
+        for kind in ("classical", "masking"):
+            try:
+                cases.append((name, *threshold_system(n, 1, kind)))
+            except ThresholdError:
+                continue
+    for name, quorums, fail_prone in cases:
+        if len(PROPERTIES[name].order) * quorums.n > 12:
+            continue
+        systems = {"quorums": quorums, "fail_prone": fail_prone}
+        checkers._decide(name, tuple(systems[key] for key in PROPERTIES[name].reads), None)
+        if name == "consistency":
+            check_consistency_classical(quorums, method="trivial-ideal")
+    assert len(seen) > 30
+    for B, cert in seen:
+        assert len(B.points) == len(B.order.blocks)
+        assert_is_reduced_basis(B, cert)
 
 
 def test_availability_holds():

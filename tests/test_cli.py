@@ -238,6 +238,10 @@ def test_check_json_like_stats(tmp_path, capsys):
     doc = json.loads(run(["check", "q3", "--input", path, "--format", "json-like"], capsys)[1])
     stats = doc["algebraic"]["stats"]
     assert (stats["blocks_solved"], stats["blocks_reused"]) == (1, 2)
+    # every two quorums meet, so the overlap product is zero on the quorum pairs
+    doc = json.loads(run(["check", "consistency", "--input", path, "--format", "json-like"], capsys)[1])
+    stats = doc["algebraic"]["stats"]
+    assert (stats["products_vanished"], stats["products_folded"]) == (1, 0)
 
 
 def wrap_cli(monkeypatch, prefix, after):

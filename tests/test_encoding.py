@@ -14,7 +14,6 @@ from quorum_algebra.encoding import (
     SetSystem,
     bool_product,
     char_poly,
-    containment_poly,
     cover_poly,
     downset_poly,
     fixed_containment_poly,
@@ -224,14 +223,6 @@ def test_ring_addition_is_symmetric_difference():
     b = char_poly(ProcessSubset.from_indices((2, 3), 3), "y")
     assert phi_inv(a.ring_add(b).support) == frozenset({1, 3})
     assert phi_inv(a.ring_mul(b).support) == frozenset({2})
-
-
-def test_containment_poly_truth_table():
-    n = 3
-    f = containment_poly(n, "x", "y")
-    for outer, inner in product(range(8), repeat=2):
-        value = f.evaluate(point(n, x=outer, y=inner))
-        assert value == (0 if inner & ~outer == 0 else 1)
 
 
 def test_fixed_containment_poly_truth_table():

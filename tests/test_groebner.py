@@ -3,8 +3,16 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import assert_is_reduced_basis, rand_generators, rand_poly, seeded
+from helpers import (
+    assert_is_reduced_basis,
+    rand_generators,
+    rand_poly,
+    seeded,
+    sm_count_enumerate,
+)
 from quorum_algebra.algebra import (
     BlockLexOrder,
     Polynomial,
@@ -15,6 +23,7 @@ from quorum_algebra.algebra import (
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
+    _field_mask,
     bool_product,
     char_poly,
     overlap_poly,
@@ -352,6 +361,78 @@ def test_one_system_on_two_blocks_is_solved_once():
     assert cert.basis == (Polynomial.one(3),) and cert.stats.blocks_solved == 2
 
 
+def _points(system):
+    return frozenset(_field_mask(m) for m in system)
+
+
+point_systems = st.integers(1, 6).flatmap(
+    lambda n: st.sets(st.integers(0, (1 << n) - 1)).map(
+        lambda masks: SetSystem(n, (ProcessSubset(m, n) for m in sorted(masks)))
+    )
+)
+
+
+def _assert_points_match_char_poly(system, block):
+    """The basis built from the points equals Buchberger's on the char poly."""
+    n = system.n
+    by_points = IdealBasis((), XY, n, points=((block, _points(system)),))
+    char = system_char_poly(system, block)
+    by_poly = IdealBasis(() if char.is_zero else (char,), XY, n)
+    cert = _checked(by_points)
+    assert cert == buchberger(by_poly)
+    assert (cert.stats.blocks_solved, cert.stats.pairs_queued) == (1, 0)
+    return cert
+
+
+@settings(deadline=None)
+@given(system=point_systems, block=st.sampled_from(("x", "y")))
+def test_point_basis_matches_buchberger_on_the_char_poly(system, block):
+    _assert_points_match_char_poly(system, block)
+
+
+def test_point_basis_of_no_points_and_of_the_whole_cube():
+    for n in range(1, 7):
+        for block in ("x", "y"):
+            empty = _assert_points_match_char_poly(SetSystem(n, ()), block)
+            assert empty.basis == (Polynomial.one(n),)
+            cube = (ProcessSubset(m, n) for m in range(1 << n))
+            assert _assert_points_match_char_poly(SetSystem(n, cube), block).basis == ()
+    # the whole cube returns its empty basis at once, however large it is
+    cube = IdealBasis((), XY, 12, points=(("x", range(1 << 12)), ("y", {0})))
+    cert = buchberger(cube)
+    assert cert.sm_count == 1 << 12 and len(cert.basis) == 12
+
+
+def test_point_bases_are_solved_once_per_set():
+    pts = _points(SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]]))
+    order = BlockLexOrder(("x", "y", "t"))
+    cert = _checked(IdealBasis((), order, 3, points=(("x", pts), ("y", pts), ("t", {0}))))
+    assert (cert.stats.blocks_solved, cert.stats.blocks_reused) == (2, 1)
+
+
+def test_products_vanishing_on_the_points_are_not_folded():
+    def run(quorums, **kwargs):
+        points = (("x", _points(quorums)), ("y", _points(quorums)))
+        basis = IdealBasis((), XY, 3, products=(overlap_poly(3, "x", "y"),), points=points)
+        return _checked(dataclasses.replace(basis, **kwargs)).stats
+
+    # every two of these quorums meet, so the overlap product is zero on V0
+    meeting = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
+    stats = run(meeting)
+    assert (stats.products_vanished, stats.products_folded, stats.pairs_queued) == (1, 0, 0)
+    # {1} and {2} do not meet, so the product is 1 there and is folded
+    stats = run(SetSystem.from_lists(3, [[1], [2]]))
+    assert (stats.products_vanished, stats.products_folded) == (0, 1)
+    # with a generator left over, or a block without points, nothing is evaluated
+    stats = run(meeting, generators=(p("x1*y1*y2"),))
+    assert (stats.products_vanished, stats.products_folded) == (0, 1)
+    stats = run(meeting, points=(("x", _points(meeting)),))
+    assert (stats.products_vanished, stats.products_folded) == (0, 1)
+    # no point at all: every product vanishes, and the ideal is <1>
+    stats = run(meeting, points=(("x", set()), ("y", _points(meeting))))
+    assert (stats.products_vanished, stats.products_folded) == (1, 0)
+
+
 def test_sm_count_for_leaves_the_certificate_unchanged():
     basis = IdealBasis((p("x1*y1 + y1", 2),), BlockLexOrder(("y", "x")), 2)
     a, b = buchberger(basis), buchberger(basis)
@@ -401,9 +482,8 @@ def test_standard_monomial_count_methods_agree():
             continue
         cert = buchberger(IdealBasis(gens, XY, 3))
         vs = XY.variables(3)
-        recurse = standard_monomial_count(cert.basis, vs, XY, method="recurse")
-        enumerate_ = standard_monomial_count(cert.basis, vs, XY, method="enumerate")
-        assert recurse == enumerate_ == cert.sm_count
+        recurse = standard_monomial_count(cert.basis, vs, XY)
+        assert recurse == sm_count_enumerate(cert.basis, vs, XY) == cert.sm_count
 
 
 def test_standard_monomial_count_rejects_foreign_variables():
@@ -494,6 +574,24 @@ def test_idealbasis_validation():
         IdealBasis((p("y1"),), X, 3)
     with pytest.raises(ValueError):
         IdealBasis((p("x1", 2),), X, 3)
+
+
+def test_idealbasis_validates_points():
+    pts = frozenset({0b101})
+    with pytest.raises(ValueError, match="outside"):
+        IdealBasis((), X, 3, points=(("y", pts),))
+    with pytest.raises(ValueError, match="twice"):
+        IdealBasis((), XY, 3, points=(("x", pts), ("x", pts)))
+    with pytest.raises(ValueError, match="masks of 3 bits"):
+        IdealBasis((), X, 3, points=(("x", {0b1000}),))
+    with pytest.raises(ValueError, match="masks of 3 bits"):
+        IdealBasis((), X, 3, points=(("x", {-1}),))
+    # the union of the point basis and a basis of x's own generators would
+    # not be a Groebner basis of the sum
+    with pytest.raises(ValueError, match="only in a block"):
+        IdealBasis((p("x1 + x2"),), XY, 3, points=(("x", pts),))
+    # a generator over both blocks, or one on another block, is fine
+    IdealBasis((p("x1*y1"), p("y2")), XY, 3, points=(("x", pts),))
 
 
 def test_idealbasis_validates_products():
