@@ -338,17 +338,19 @@ def format_polynomial(f: Polynomial, order: BlockLexOrder | None = None) -> str:
     return " + ".join(monomial_text(m, f.n) for m in ordered)
 
 
-def gf2_zeta(table: int, v: int) -> int:
+def gf2_zeta(table: int, v: int, unit: int = 1) -> int:
     """Subset-sum transform over F2 of a bitset indexed by v-bit masks.
 
     Bit T of the result is the XOR of the input bits S over all S that are
     subsets of T. Over F2 the transform is its own inverse (zeta equals
     Moebius), so the same call turns squarefree monomial coefficients into a
-    truth table and a truth table back into coefficients.
+    truth table and a truth table back into coefficients. With unit > 1 each
+    mask indexes a run of unit bits, the mask times unit being its first, and
+    the runs are transformed as whole vectors.
     """
-    total = 1 << v
+    total = unit << v
     for k in range(v):
-        blk = 1 << k
+        blk = unit << k
         # pattern marking the indices whose bit k is clear
         pat = (1 << blk) - 1
         width = blk * 2

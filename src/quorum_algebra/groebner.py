@@ -42,7 +42,7 @@ shifted down to the lowest field are its system, and each distinct system
 is solved once by the same pair loop on n-bit masks, then reduced and
 shifted onto every block that carries it. A block given by its points
 instead is the ideal of that point set, I(P), and its reduced basis is
-built from the points without a pair loop (_point_basis). The main loop
+built from the points without a pair loop (variety.LexGame). The main loop
 starts from the union of these bases and adds the other generators and the
 products as usual. This is exact: shifting renames variables within a
 block and keeps their order, so a shifted basis is a Boolean Groebner basis
@@ -51,15 +51,21 @@ by the coprime criterion the pairs across blocks reduce to zero and the
 union is a Boolean Groebner basis of the sum. The seeded elements therefore
 get no pairs with each other and no field pairs.
 
-When every block is given by its points and no generator is left, the
-seeds generate I(V0), V0 the product of the block point sets, and a product
-that is zero at every point of V0 already lies in that ideal. Such products
-are dropped before the pair loop (_nonvanishing).
+When every block is given by its points, as in every checker's ideal, the
+ideal is I(V0) + <generators, products>, V0 the product of the block point
+sets. A Boolean ideal is radical, so this is I(V) for V the points of V0
+where every generator and product is zero. variety.evaluate finds V from
+the Kronecker structure of V0, variety.shrink cuts each block's points to
+those V uses, and variety.LexGame builds the reduced basis of I(V) one
+block at a time, with no pair loop, no fold and no inter-reduction; when V
+is all of V0 the basis is the union of the block bases. The pair loop stays for ideals with a block not given by points, as
+qa groebner's, and for V0 over _V0_LIMIT points.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
@@ -74,9 +80,10 @@ from .algebra import (
     gf2_zeta,
     move_fields,
 )
+from .variety import LexGame, evaluate, shrink
 
-# Above this many points of V0, products are folded without evaluating them
-# first: one value bitset of V0 is then 512 KB.
+# Above this many points of V0 the pair loop builds the basis: one value
+# bitset of V0 is then 512 KB.
 _V0_LIMIT = 1 << 22
 
 
@@ -254,6 +261,7 @@ class GroebnerStats(SimpleNamespace):
             reductions_nonzero=0,
             products_folded=0,
             products_vanished=0,  # products zero on every point of V0, never folded
+            variety_points=0,  # |V|, when the basis is built from the variety V
             retired=0,
             max_active=0,
             blocks_solved=0,  # distinct one-block systems or point sets solved on their own
@@ -368,8 +376,7 @@ def _solve_blocks(
         if basis is None:
             stats.blocks_solved += 1
             if isinstance(key, int):
-                elements = _point_basis(key, 1 << n, {}).values()
-                basis = [tuple(bit_positions(g)[::-1]) for g in elements]
+                basis = _point_basis(key, n)
             else:
                 basis = _reduce_basis(_pair_loop(list(key), [], [], n, stats), n)
             solved[key] = basis
@@ -379,107 +386,70 @@ def _solve_blocks(
     return rest, seeds
 
 
-# Point sets, value tables and polynomials below are bitsets over the size
-# masks of a cube, size a power of two: bit p of a point set or table is
-# the point p, bit m of a polynomial its monomial m. Splitting such a
-# bitset at half = size / 2 splits on the top variable x: the low half has
-# x = 0 (or no x), the high half x = 1, x dropped. The standard monomials
-# of I(P) under lex follow the same split (Cerlienco and Mureddu, Discrete
-# Math. 139, 1995): std(P) = std(P0 | P1) + x * std(P0 & P1).
+def _point_basis(points: int, n: int) -> list[tuple[int, ...]]:
+    """The reduced basis of I(P), P a bitset over the n-bit masks, as n-bit masks."""
+    elements = LexGame([(0, bit_positions(points))], n).basis(0, n, points).values()
+    return [tuple(bit_positions(g)[::-1]) for g in elements]
 
 
-def _interpolate(points: int, values: int, size: int) -> int:
-    """The polynomial over the lex standard monomials of I(points) that
-    takes values on points; values must lie within points.
-
-    Write it f0 + x * f1 with f0 over std(P0 | P1) and f1 over
-    std(P0 & P1). It is f0 on P0 and f0 + f1 on P1, so f1 takes v0 + v1 on
-    P0 & P1, and then f0 is fixed on P0 | P1.
-    """
-    if not values:
-        return 0
-    if points == (1 << size) - 1:
-        return gf2_zeta(values, size.bit_length() - 1)
-    half = size >> 1
-    low = (1 << half) - 1
-    p0, p1, v0, v1 = points & low, points >> half, values & low, values >> half
-    both = p0 & p1
-    f1 = _interpolate(both, (v0 ^ v1) & both, half)
-    t1 = gf2_zeta(f1, half.bit_length() - 1)  # f1's values
-    f0 = _interpolate(p0 | p1, v0 & p0 | (v1 ^ t1) & p1 & ~p0, half)
-    return f0 | f1 << half
-
-
-def _point_basis(points: int, size: int, memo: dict) -> dict[int, int]:
-    """Reduced lex basis of I(points), leading monomial -> element, with no pair loop.
-
-    I(P) has the basis of I(P0 | P1), which leaves x out, and for each
-    element g of the basis of I(P0 & P1) whose leading monomial m does not
-    lead one of those, the element x * g + f0 with f0 over std(P0 | P1). It
-    is zero on P0 and takes g's values on P1 - P0, where x * g does not
-    vanish. Its terms are standard and it vanishes on P, so it is reduced.
-    """
-    if points == (1 << size) - 1:
-        return {}
-    if not points:
-        return {0: 1}
-    key = (points, size)
-    if key in memo:
-        return memo[key]
-    half = size >> 1
-    low = (1 << half) - 1
-    p0, p1 = points & low, points >> half
-    basis = dict(_point_basis(p0 | p1, half, memo))
-    only1 = p1 & ~p0
-    for m, g in _point_basis(p0 & p1, half, memo).items():
-        if m not in basis:
-            t = gf2_zeta(g, half.bit_length() - 1) & only1
-            basis[half | m] = g << half | _interpolate(p0 | p1, t, half)
-    memo[key] = basis
-    return basis
+def _variety_basis(
+    gens: list[tuple[int, ...]],
+    products: list[list[tuple[int, ...]]],
+    points: dict[int, frozenset[int]],
+    seeds: list[tuple[int, ...]],
+    n: int,
+    stats: GroebnerStats,
+) -> list[tuple[int, ...]] | None:
+    """The reduced basis of a sum of point ideals on every block, generators
+    and products, from its variety V; None when V0 is over _V0_LIMIT."""
+    fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
+    size = math.prod(len(pts) for _, pts in fields)
+    if size > _V0_LIMIT:
+        return None
+    variety, stats.products_vanished = evaluate(gens, products, fields, n)
+    stats.variety_points = variety.bit_count()
+    if variety == (1 << size) - 1:
+        return _union(seeds)  # I(V) = I(V0)
+    if not variety:
+        return [(0,)]
+    # V lies in the product of its projections too, whose tables are smaller
+    variety, fields = shrink(variety, fields)
+    lower = [
+        tuple(t << shift for t in g)
+        for shift, pts in fields[1:]
+        for g in _point_basis(sum(1 << p for p in pts), n)
+    ]
+    found = LexGame(fields, n).elements(variety)
+    return sorted(found + _reduced_lower(found, lower, len(fields) * n), reverse=True)
 
 
-def _nonvanishing(
-    products: list[list[tuple[int, ...]]], points: dict[int, frozenset[int]], n: int
-) -> list[list[tuple[int, ...]]]:
-    """The products that are not zero at every point of V0, the product of
-    the point sets of all blocks (shift -> point set).
-
-    A point of V0 is a tuple of block points, numbered in mixed radix with
-    the top block most significant, so the values of a term are the
-    Kronecker product of its per-block values. The Kronecker product A (x) R
-    with R over the lower blocks is the integer product of R with A's bits
-    spread to the multiples of R's width, as the shifted copies of R do not
-    overlap. Over _V0_LIMIT points every product is kept.
-    """
-    fields = []
-    width = 1
-    for shift, pts in sorted(points.items()):  # bottom block first
-        fields.append((shift, sorted(pts, reverse=True), "0" * (width - 1)))
-        width *= len(pts)
-    if width > _V0_LIMIT:
-        return products
-    spread: dict[tuple[int, int], int] = {}  # (shift, block monomial) -> its values, spread
+def _reduced_lower(
+    found: list[tuple[int, ...]], lower: list[tuple[int, ...]], v: int
+) -> list[tuple[int, ...]]:
+    """The elements of the reduced basis of I(V) that lead with a leading
+    monomial of the lower blocks' bases: those no element of found divides,
+    each with its tail in normal form. found and the lower bases together
+    are a Groebner basis of I(V), and found has every other leading monomial
+    of the reduced one."""
+    basis = found + lower
+    divisors = _Divisors(v)
+    for i, g in enumerate(basis):
+        divisors.add(i, g[0])
+    by_found = (1 << len(found)) - 1
     kept = []
-    for factors in products:
-        acc = (1 << width) - 1
-        for factor in factors:
-            table = 0
-            for t in factor:
-                r = 1
-                for shift, pts, gap in fields:
-                    m = t >> shift & ((1 << n) - 1)
-                    if (shift, m) not in spread:
-                        bits = gap.join("1" if p & m == m else "0" for p in pts)
-                        spread[shift, m] = int("0" + bits, 2)
-                    r *= spread[shift, m]
-                table ^= r
-            acc &= table
-            if not acc:
-                break
-        if acc:
-            kept.append(factors)
+    for g in lower:
+        if divisors.of(g[0]) & by_found:
+            continue
+        if any(divisors.of(t) & by_found for t in g[1:]):
+            g = (g[0],) + _normal_form(g[1:], basis, divisors)
+        kept.append(g)
     return kept
+
+
+def _union(seeds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The seeds as a reduced basis: each block's basis is reduced, and no
+    block's leading monomials divide another's terms."""
+    return [(0,)] if (0,) in seeds else sorted(seeds, reverse=True)
 
 
 def _pair_loop(
@@ -664,19 +634,15 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     points = {field_shift(b, n, blocks): pts for b, pts in B.points}
     gens, seeds = _solve_blocks([engine(g) for g in B.generators], points, n, stats)
     products = [[engine(f) for f in factors] for factors in B.products]
-    if products and len(points) == len(blocks) and not gens:
-        # the seeds generate I(V0), which holds every product zero on V0
-        kept = _nonvanishing(products, points, n)
-        stats.products_vanished = len(products) - len(kept)
-        products = kept
-    if gens or products:
+    reduced = None if gens or products else _union(seeds)
+    if reduced is None and len(points) == len(blocks):
+        reduced = _variety_basis(gens, products, points, seeds, n, stats)
+    if reduced is None:
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     else:
-        # each block's basis is reduced, and no block's leading monomials divide another's terms
-        stats.max_active = len(seeds)
-        reduced = [(0,)] if (0,) in seeds else sorted(seeds, reverse=True)
+        stats.max_active = len(reduced)
     polys = tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in reduced)
-    count = _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
+    count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         basis=polys, order=B.order, n=n, sm_count=count, stats=stats
     )

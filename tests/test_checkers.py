@@ -8,6 +8,8 @@ from operator import or_
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import assert_is_reduced_basis, rand_system, seeded
 from quorum_algebra import checkers
@@ -24,7 +26,8 @@ from quorum_algebra.checkers import (
     threshold_system,
 )
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial
-from quorum_algebra.encoding import SetSystem, bool_product, system_char_poly
+from quorum_algebra import groebner, variety
+from quorum_algebra.encoding import ProcessSubset, SetSystem, bool_product, system_char_poly
 from quorum_algebra.groebner import IdealBasis, buchberger, variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
 
@@ -133,6 +136,99 @@ def test_checker_certificates_are_the_variety_reduced_bases(monkeypatch):
     for B, cert in seen:
         assert len(B.points) == len(B.order.blocks)
         assert_is_reduced_basis(B, cert)
+
+
+def _recorded_ideal(name, systems, method="sm-count"):
+    """The ideal and certificate of one checker call."""
+    seen = []
+
+    def recording(B):
+        seen.append((B, buchberger(B)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checkers, "buchberger", recording)
+        checkers._decide(name, tuple(systems[key] for key in PROPERTIES[name].reads), None, method)
+    (B, cert), = seen
+    return B, cert
+
+
+def _without_points(name, systems, B):
+    """The same ideal with every block's system as its characteristic
+    polynomial instead of points, which leaves it to the pair loop."""
+    gens = list(B.generators)
+    for block, source in PROPERTIES[name].encodes:
+        char = system_char_poly(checkers._members(source, systems), block)
+        if not char.is_zero:
+            gens.append(char)
+    return IdealBasis(tuple(gens), B.order, B.n, B.products)
+
+
+def _systems(n):
+    masks = st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=5)
+    return masks.map(lambda ms: SetSystem(n, (ProcessSubset(m, n) for m in sorted(ms))))
+
+
+drawn_inputs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.sampled_from([*PROPERTIES, "consistency/trivial-ideal"]), _systems(n), _systems(n)
+    )
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(drawn=drawn_inputs)
+# every quorum meets every fail-prone set, so availability's variety is empty
+@example(drawn=("availability", SetSystem.from_lists(3, [[1, 2, 3]]), SINGLETONS))
+# every two quorums meet, so the flipped ideal is <1>
+@example(drawn=("consistency/trivial-ideal", TWO_SUBSETS, SINGLETONS))
+def test_variety_route_matches_the_pair_loop(drawn):
+    """A checker's certificate, built from the variety, equals the pair
+    loop's on the same ideal written as characteristic polynomials."""
+    prop, quorums, fail_prone = drawn
+    name, _, method = prop.partition("/")
+    systems = {"quorums": quorums, "fail_prone": fail_prone}
+    B, cert = _recorded_ideal(name, systems, method or "sm-count")
+    reference = buchberger(_without_points(name, systems, B))
+    assert reference.stats.variety_points == 0
+    assert cert == reference
+    assert cert.stats.pairs_queued == cert.stats.products_folded == 0
+    assert_is_reduced_basis(B, cert)
+    if cert.sm_count == 0:
+        assert cert.basis == (Polynomial.one(quorums.n),)
+
+
+def test_lower_blocks_convert_alike_by_matrix_and_by_interpolation(monkeypatch):
+    """The top-level tables give the same basis whether each lower block
+    inverts its evaluation matrix or interpolates on its cube."""
+    rng = seeded(47)
+    cases = [(name, rand_system(4, rng), rand_system(4, rng)) for name in PROPERTIES for _ in range(3)]
+    cases += [("q4", *threshold_system(4, 1, "classical")), ("q3", *threshold_system(5, 2, "classical")),
+              ("masking", *threshold_system(5, 1, "classical"))]
+    for name, quorums, fail_prone in cases:
+        B, cert = _recorded_ideal(name, {"quorums": quorums, "fail_prone": fail_prone})
+        for dense in (0, 1 << 40):
+            monkeypatch.setattr(variety, "_DENSE", dense)
+            assert buchberger(B) == cert
+
+
+def test_large_v0_falls_back_to_the_pair_loop(monkeypatch):
+    """Over _V0_LIMIT points of V0 the pair loop builds the same basis."""
+    cases = [("q4", threshold_system(4, 1, "classical")), ("q3", threshold_system(4, 2, "classical")),
+             ("availability", threshold_system(5, 1, "classical")),
+             ("masking", threshold_system(4, 1, "classical")),
+             ("dissemination", threshold_system(4, 1, "classical"))]
+    for name, (quorums, fail_prone) in cases:
+        systems = {"quorums": quorums, "fail_prone": fail_prone}
+        B, cert = _recorded_ideal(name, systems)
+        assert cert.stats.variety_points > 0 and cert.stats.pairs_queued == 0
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_V0_LIMIT", 8)
+            fallback = buchberger(B)
+        assert fallback == cert and fallback.stats.variety_points == 0
+        # the products are folded; availability's flipped relation is paired
+        assert fallback.stats.products_folded == len(B.products)
+        assert B.products or fallback.stats.pairs_queued > 0
 
 
 def test_availability_holds():

@@ -416,21 +416,23 @@ def test_products_vanishing_on_the_points_are_not_folded():
         basis = IdealBasis((), XY, 3, products=(overlap_poly(3, "x", "y"),), points=points)
         return _checked(dataclasses.replace(basis, **kwargs)).stats
 
+    def counts(stats):
+        return stats.products_vanished, stats.products_folded, stats.pairs_queued, stats.variety_points
+
     # every two of these quorums meet, so the overlap product is zero on V0
     meeting = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
-    stats = run(meeting)
-    assert (stats.products_vanished, stats.products_folded, stats.pairs_queued) == (1, 0, 0)
-    # {1} and {2} do not meet, so the product is 1 there and is folded
-    stats = run(SetSystem.from_lists(3, [[1], [2]]))
-    assert (stats.products_vanished, stats.products_folded) == (0, 1)
-    # with a generator left over, or a block without points, nothing is evaluated
-    stats = run(meeting, generators=(p("x1*y1*y2"),))
-    assert (stats.products_vanished, stats.products_folded) == (0, 1)
+    assert counts(run(meeting)) == (1, 0, 0, 9)
+    # {1} and {2} do not meet, so V keeps 2 of the 4 points of V0; the
+    # basis comes from V, with no fold and no pair
+    assert counts(run(SetSystem.from_lists(3, [[1], [2]]))) == (0, 0, 0, 2)
+    # a generator is evaluated on V0 too; it cuts the pairs ({1,2} or {1,3}, {1,2})
+    assert counts(run(meeting, generators=(p("x1*y1*y2"),))) == (1, 0, 0, 7)
+    # a block without points leaves the product to the pair loop
     stats = run(meeting, points=(("x", _points(meeting)),))
-    assert (stats.products_vanished, stats.products_folded) == (0, 1)
+    assert (stats.products_vanished, stats.products_folded, stats.variety_points) == (0, 1, 0)
     # no point at all: every product vanishes, and the ideal is <1>
     stats = run(meeting, points=(("x", set()), ("y", _points(meeting))))
-    assert (stats.products_vanished, stats.products_folded) == (1, 0)
+    assert counts(stats) == (1, 0, 0, 0)
 
 
 def test_sm_count_for_leaves_the_certificate_unchanged():
