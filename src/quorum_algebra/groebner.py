@@ -58,8 +58,10 @@ where every generator and product is zero. variety.evaluate finds V from
 the Kronecker structure of V0, variety.shrink cuts each block's points to
 those V uses, and variety.LexGame builds the reduced basis of I(V) one
 block at a time, with no pair loop, no fold and no inter-reduction; when V
-is all of V0 the basis is the union of the block bases. The pair loop stays for ideals with a block not given by points, as
-qa groebner's, and for V0 over _V0_LIMIT points.
+is all of V0 the basis is the union of the block bases. The pair loop
+stays for ideals with a block not given by points, as qa groebner's, for
+V0 over _V0_LIMIT points, and when the lex game's tables would pass
+_TABLE_BITS bits.
 """
 
 from __future__ import annotations
@@ -80,11 +82,14 @@ from .algebra import (
     gf2_zeta,
     move_fields,
 )
-from .variety import LexGame, evaluate, shrink
+from .variety import LexGame, TooLarge, evaluate, shrink
 
 # Above this many points of V0 the pair loop builds the basis: one value
 # bitset of V0 is then 512 KB.
 _V0_LIMIT = 1 << 22
+# Past this many bits (128 MiB) of the lex game's tables the pair loop
+# builds the basis: it is slower there but holds far less.
+_TABLE_BITS = 1 << 30
 
 
 def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
@@ -401,7 +406,8 @@ def _variety_basis(
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]] | None:
     """The reduced basis of a sum of point ideals on every block, generators
-    and products, from its variety V; None when V0 is over _V0_LIMIT."""
+    and products, from its variety V; None when V0 is over _V0_LIMIT or the
+    lex game's tables outgrow _TABLE_BITS."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
     if size > _V0_LIMIT:
@@ -419,7 +425,11 @@ def _variety_basis(
         for shift, pts in fields[1:]
         for g in _point_basis(sum(1 << p for p in pts), n)
     ]
-    found = LexGame(fields, n).elements(variety)
+    try:
+        found = LexGame(fields, n, _TABLE_BITS).elements(variety)
+    except TooLarge:
+        stats.variety_points = 0
+        return None
     return sorted(found + _reduced_lower(found, lower, len(fields) * n), reverse=True)
 
 

@@ -24,10 +24,10 @@ from .algebra import bit_positions, gf2_zeta
 
 # Top-level tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
-# A lower block of |S| points turns values into coefficients by its inverse
-# evaluation matrix while |S|^3 <= _DENSE * 2^n, else by interpolation on
-# its cube: the two cost the same near there for n = 8 to 12.
-_DENSE = 1 << 11
+
+
+class TooLarge(Exception):
+    """A LexGame's tables passed its budget."""
 
 
 def _standard(points: int, size: int) -> int:
@@ -61,18 +61,21 @@ class LexGame:
     down (lift).
     """
 
-    def __init__(self, fields: list[tuple[int, list[int]]], n: int, unit: int = 1):
+    def __init__(self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf):
         """fields: shift and ascending n-bit points of each block, top first.
-        unit: bits per point of the lowest block, opaque to every level."""
+        budget: the bits the found elements' tables may hold in all; past
+        it basis raises TooLarge."""
         self.n = n
         self.shifts = [shift for shift, _ in fields]
         self.pts = [pts for _, pts in fields]
-        self.units = [math.prod(len(pts) for pts in self.pts[b + 1:]) * unit for b in range(len(fields))]
+        self.units = [math.prod(len(pts) for pts in self.pts[b + 1:]) for b in range(len(fields))]
         self.std = [[]] + [
             bit_positions(_standard(sum(1 << p for p in pts), 1 << n)) for pts in self.pts[1:]
         ]
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
+        self.budget = budget
+        self.bits = 0  # of the tables of the elements found, all kept in memo
         self.movers: dict[int, tuple[itemgetter, str, str, itemgetter, str]] = {}
         self.spreads: dict[tuple[int, int], int] = {}  # point sets of leaves, one level down
         self.inverses: dict[int, list[list[int]]] = {}
@@ -146,7 +149,10 @@ class LexGame:
             for m, g in self.basis(b, j - 1, p0 & p1).items():
                 if m not in basis:
                     t = gf2_zeta(g, j - 1, u) & only1
-                    basis[half + m] = g << half | self.interpolate(b, j - 1, p0 | p1, t)
+                    g = basis[half + m] = g << half | self.interpolate(b, j - 1, p0 | p1, t)
+                    self.bits += g.bit_length()
+                    if self.bits > self.budget:
+                        raise TooLarge(self.bits)
         self.memo[key] = basis
         return basis
 
@@ -252,18 +258,11 @@ class LexGame:
     def _coefficients(self, b: int, g: int, rest: int) -> int:
         """g, runs of rest bits indexed by the points of block b, with the
         values on S_b at every place of a run replaced by the coefficients
-        over std(S_b). A small block sums runs by the rows of its inverse
-        evaluation matrix, a large one interpolates on its cube, whose
-        tables are 2^n / |S_b| times larger: the first when
-        |S_b|^3 <= _DENSE * 2^n."""
-        pts = self.pts[b]
-        if len(pts) ** 3 > _DENSE << self.n:
-            game = LexGame([(0, pts)], self.n, rest)
-            everywhere = game.spread((1 << len(pts) * rest) - 1, 0)
-            return _runs_at(game.interpolate(0, self.n, everywhere, game.spread(g, 0)), self.std[b], rest, self.n)
+        over std(S_b): each is a sum of runs, by the rows of the block's
+        inverse evaluation matrix."""
         if b not in self.inverses:
             self.inverses[b] = self._inverse(b)
-        runs = [g >> c * rest & ((1 << rest) - 1) for c in range(len(pts))]
+        runs = [g >> c * rest & ((1 << rest) - 1) for c in range(len(self.pts[b]))]
         g = 0
         for r, row in enumerate(self.inverses[b]):
             acc = 0
@@ -303,13 +302,6 @@ class LexGame:
             i, w = divmod(w, self.units[b])
             mask |= self.std[b][i] << self.shifts[b]
         return mask
-
-
-def _runs_at(table: int, masks: list[int], unit: int, n: int) -> int:
-    """The runs of a table over an n-bit cube at the given masks, in order."""
-    size = unit << n
-    s = format(table, f"0{size}b")
-    return int("".join(s[size - (m + 1) * unit:size - m * unit] for m in reversed(masks)), 2)
 
 
 def evaluate(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from functools import reduce
 from itertools import product
 from operator import or_
@@ -26,7 +27,7 @@ from quorum_algebra.checkers import (
     threshold_system,
 )
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial
-from quorum_algebra import groebner, variety
+from quorum_algebra import groebner
 from quorum_algebra.encoding import ProcessSubset, SetSystem, bool_product, system_char_poly
 from quorum_algebra.groebner import IdealBasis, buchberger, variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
@@ -198,37 +199,52 @@ def test_variety_route_matches_the_pair_loop(drawn):
         assert cert.basis == (Polynomial.one(quorums.n),)
 
 
-def test_lower_blocks_convert_alike_by_matrix_and_by_interpolation(monkeypatch):
-    """The top-level tables give the same basis whether each lower block
-    inverts its evaluation matrix or interpolates on its cube."""
-    rng = seeded(47)
-    cases = [(name, rand_system(4, rng), rand_system(4, rng)) for name in PROPERTIES for _ in range(3)]
-    cases += [("q4", *threshold_system(4, 1, "classical")), ("q3", *threshold_system(5, 2, "classical")),
-              ("masking", *threshold_system(5, 1, "classical"))]
-    for name, quorums, fail_prone in cases:
-        B, cert = _recorded_ideal(name, {"quorums": quorums, "fail_prone": fail_prone})
-        for dense in (0, 1 << 40):
-            monkeypatch.setattr(variety, "_DENSE", dense)
-            assert buchberger(B) == cert
-
-
-def test_large_v0_falls_back_to_the_pair_loop(monkeypatch):
-    """Over _V0_LIMIT points of V0 the pair loop builds the same basis."""
+# in each case below V is not V0, so the lex game runs
+@pytest.mark.parametrize("limit", ["_V0_LIMIT", "_TABLE_BITS"])
+def test_large_ideals_fall_back_to_the_pair_loop(monkeypatch, limit):
+    """Over _V0_LIMIT points of V0, or past _TABLE_BITS bits of the lex
+    game's tables, the pair loop builds the same basis."""
     cases = [("q4", threshold_system(4, 1, "classical")), ("q3", threshold_system(4, 2, "classical")),
              ("availability", threshold_system(5, 1, "classical")),
              ("masking", threshold_system(4, 1, "classical")),
-             ("dissemination", threshold_system(4, 1, "classical"))]
+             ("dissemination", (SetSystem.from_lists(4, [[1, 2], [3, 4], [1, 3]]),
+                                SetSystem.from_lists(4, [[1], [2], [3], [4]])))]
     for name, (quorums, fail_prone) in cases:
         systems = {"quorums": quorums, "fail_prone": fail_prone}
         B, cert = _recorded_ideal(name, systems)
         assert cert.stats.variety_points > 0 and cert.stats.pairs_queued == 0
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_V0_LIMIT", 8)
+            m.setattr(groebner, limit, 8)  # V0 has more points, the tables more bits
             fallback = buchberger(B)
         assert fallback == cert and fallback.stats.variety_points == 0
         # the products are folded; availability's flipped relation is paired
         assert fallback.stats.products_folded == len(B.products)
         assert B.products or fallback.stats.pairs_queued > 0
+
+
+def test_lex_game_memory_stays_near_its_table_budget(monkeypatch):
+    """Past _TABLE_BITS the lex game stops before it holds much more. On
+    the n=10, f=3 all-sizes systems availability's game holds 18 MB of
+    tables (22 MB traced) when it runs to the end; with a 256 KB budget it
+    hands the ideal to the pair loop, stubbed here, having held far less."""
+    quorums, fail_prone = threshold_system(10, 3, "classical", all_sizes=True)
+
+    class Handed(Exception):
+        pass
+
+    def pair_loop(*args):
+        raise Handed
+
+    monkeypatch.setattr(groebner, "_TABLE_BITS", 1 << 21)
+    monkeypatch.setattr(groebner, "_pair_loop", pair_loop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Handed):
+            check_availability(quorums, fail_prone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_availability_holds():
