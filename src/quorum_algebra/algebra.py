@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 BLOCKS = ("x", "y", "z", "t")
@@ -48,7 +49,26 @@ def move_fields(masks: Iterable[int], src: Sequence[str], dst: Sequence[str], n:
     does not list are dropped. Fields move whole and keep their bit order,
     so adjacent fields that stay adjacent move as one.
     """
-    moves: list[list[int]] = []  # [src shift, dst shift, width], top run first
+    moves = _field_moves(tuple(src), tuple(dst), n)
+    if len(moves) == 1:
+        s, d, keep = moves[0]
+        if s >= d:
+            return [(m & keep) >> (s - d) for m in masks]
+        return [(m & keep) << (d - s) for m in masks]
+    out = []
+    for m in masks:
+        r = 0
+        for s, d, keep in moves:
+            r |= (m & keep) >> s << d
+        out.append(r)
+    return out
+
+
+@cache  # one plan per pair of layouts and n, of which a process sees few
+def _field_moves(src: tuple[str, ...], dst: tuple[str, ...], n: int) -> tuple[tuple[int, int, int], ...]:
+    """move_fields' plan: the source shift, destination shift and source
+    bits of each run of fields that move together, top run first."""
+    moves: list[list[int]] = []  # [src shift, dst shift, width]
     for b in dst:
         if b not in src:
             continue
@@ -58,19 +78,7 @@ def move_fields(masks: Iterable[int], src: Sequence[str], dst: Sequence[str], n:
             moves[-1][2] += n
         else:
             moves.append([s, d, n])
-    if len(moves) == 1:
-        s, d, w = moves[0]
-        keep = ((1 << w) - 1) << s
-        if s >= d:
-            return [(m & keep) >> (s - d) for m in masks]
-        return [(m & keep) << (d - s) for m in masks]
-    out = []
-    for m in masks:
-        r = 0
-        for s, d, w in moves:
-            r |= (m >> s & ((1 << w) - 1)) << d
-        out.append(r)
-    return out
+    return tuple((s, d, ((1 << w) - 1) << s) for s, d, w in moves)
 
 
 @dataclass(frozen=True, order=True)

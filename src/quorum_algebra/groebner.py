@@ -269,8 +269,10 @@ class GroebnerStats(SimpleNamespace):
             variety_points=0,  # |V|, when the basis is built from the variety V
             retired=0,
             max_active=0,
-            blocks_solved=0,  # distinct one-block systems or point sets solved on their own
-            blocks_reused=0,  # blocks seeded with the basis of an equal system or point set
+            # block bases the route reads: distinct one-block systems or point
+            # sets solved on their own, and blocks given the basis of an equal one
+            blocks_solved=0,
+            blocks_reused=0,
         )
 
 
@@ -350,10 +352,9 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
 
 
 def _solve_blocks(
-    gens: list[tuple[int, ...]], points: dict[int, frozenset[int]], n: int, stats: GroebnerStats
+    gens: list[tuple[int, ...]], n: int, stats: GroebnerStats
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Solve the generators that live in one block, and the blocks given by
-    points (shift -> point set), each distinct system or point set once.
+    """Solve the generators that live in one block, each distinct system once.
 
     Blocks are the n-bit fields of a mask. A block's generators, shifted down
     to the lowest field, are one system; its reduced basis on n-bit masks is
@@ -371,24 +372,38 @@ def _solve_blocks(
             systems.setdefault(shift, []).append(tuple(t >> shift for t in p))
         else:
             rest.append(p)
-    # a system is keyed by its generators, a point set by its bitset
-    jobs: list[tuple[int, frozenset | int]] = [(s, frozenset(gs)) for s, gs in systems.items()]
-    jobs += [(shift, sum(1 << p for p in pts)) for shift, pts in points.items()]
-    solved: dict[frozenset | int, list[tuple[int, ...]]] = {}
+    solved: dict[frozenset, list[tuple[int, ...]]] = {}
     seeds: list[tuple[int, ...]] = []
-    for shift, key in jobs:
+    for shift, gs in systems.items():
+        key = frozenset(gs)
         basis = solved.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            if isinstance(key, int):
-                basis = _point_basis(key, n)
-            else:
-                basis = _reduce_basis(_pair_loop(list(key), [], [], n, stats), n)
-            solved[key] = basis
+            basis = solved[key] = _reduce_basis(_pair_loop(list(key), [], [], n, stats), n)
         else:
             stats.blocks_reused += 1
         seeds.extend(tuple(t << shift for t in g) for g in basis)
     return rest, seeds
+
+
+def _point_seeds(
+    fields: Iterable[tuple[int, Collection[int]]], n: int, built: dict[int, list[tuple[int, ...]]],
+    stats: GroebnerStats,
+) -> list[tuple[int, ...]]:
+    """The bases of blocks given by points (shift, point set), shifted onto
+    their fields; built maps each point set, as a bitset, to its basis, so
+    that one call builds each distinct set once."""
+    seeds: list[tuple[int, ...]] = []
+    for shift, pts in fields:
+        key = sum(1 << p for p in pts)
+        basis = built.get(key)
+        if basis is None:
+            stats.blocks_solved += 1
+            basis = built[key] = _point_basis(key, n)
+        else:
+            stats.blocks_reused += 1
+        seeds.extend(tuple(t << shift for t in g) for g in basis)
+    return seeds
 
 
 def _point_basis(points: int, n: int) -> list[tuple[int, ...]]:
@@ -401,13 +416,14 @@ def _variety_basis(
     gens: list[tuple[int, ...]],
     products: list[list[tuple[int, ...]]],
     points: dict[int, frozenset[int]],
-    seeds: list[tuple[int, ...]],
     n: int,
+    built: dict[int, list[tuple[int, ...]]],
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]] | None:
     """The reduced basis of a sum of point ideals on every block, generators
     and products, from its variety V; None when V0 is over _V0_LIMIT or the
-    lex game's tables outgrow _TABLE_BITS."""
+    lex game's tables outgrow _TABLE_BITS. Block bases come from built, as
+    _point_seeds gives them, and only where the basis is made of them."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
     if size > _V0_LIMIT:
@@ -415,21 +431,17 @@ def _variety_basis(
     variety, stats.products_vanished = evaluate(gens, products, fields, n)
     stats.variety_points = variety.bit_count()
     if variety == (1 << size) - 1:
-        return _union(seeds)  # I(V) = I(V0)
+        return _union(_point_seeds(points.items(), n, built, stats))  # I(V) = I(V0)
     if not variety:
         return [(0,)]
     # V lies in the product of its projections too, whose tables are smaller
     variety, fields = shrink(variety, fields)
-    lower = [
-        tuple(t << shift for t in g)
-        for shift, pts in fields[1:]
-        for g in _point_basis(sum(1 << p for p in pts), n)
-    ]
     try:
         found = LexGame(fields, n, _TABLE_BITS).elements(variety)
     except TooLarge:
         stats.variety_points = 0
         return None
+    lower = _point_seeds(fields[1:], n, built, stats)
     return sorted(found + _reduced_lower(found, lower, len(fields) * n), reverse=True)
 
 
@@ -642,12 +654,16 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
 
     points = {field_shift(b, n, blocks): pts for b, pts in B.points}
-    gens, seeds = _solve_blocks([engine(g) for g in B.generators], points, n, stats)
+    gens, seeds = _solve_blocks([engine(g) for g in B.generators], n, stats)
     products = [[engine(f) for f in factors] for factors in B.products]
-    reduced = None if gens or products else _union(seeds)
-    if reduced is None and len(points) == len(blocks):
-        reduced = _variety_basis(gens, products, points, seeds, n, stats)
+    built: dict[int, list[tuple[int, ...]]] = {}  # point set -> its basis, this call only
+    reduced = None
+    if not gens and not products:
+        reduced = _union(seeds + _point_seeds(points.items(), n, built, stats))
+    elif len(points) == len(blocks):
+        reduced = _variety_basis(gens, products, points, n, built, stats)
     if reduced is None:
+        seeds += _point_seeds(points.items(), n, built, stats)
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     else:
         stats.max_active = len(reduced)

@@ -75,9 +75,9 @@ class LexGame:
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
         self.budget = budget
-        self.bits = 0  # of the tables of the elements found, all kept in memo
+        self.bits = 0  # of the element tables and leaves kept, in memo and leaves
         self.movers: dict[int, tuple[itemgetter, str, str, itemgetter, str]] = {}
-        self.spreads: dict[tuple[int, int], int] = {}  # point sets of leaves, one level down
+        self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.inverses: dict[int, list[list[int]]] = {}
 
     def elements(self, variety: int) -> list[tuple[int, ...]]:
@@ -86,6 +86,7 @@ class LexGame:
         masks, leading monomial first."""
         top = self.basis(0, self.n, self.spread(variety, 0))
         self.memo.clear()  # the top level's tables are all that is left to read
+        self.leaves.clear()
         return self.polynomials(list(top.values()))
 
     def spread(self, bits: int, b: int) -> int:
@@ -150,11 +151,15 @@ class LexGame:
                 if m not in basis:
                     t = gf2_zeta(g, j - 1, u) & only1
                     g = basis[half + m] = g << half | self.interpolate(b, j - 1, p0 | p1, t)
-                    self.bits += g.bit_length()
-                    if self.bits > self.budget:
-                        raise TooLarge(self.bits)
+                    self._hold(g.bit_length())
         self.memo[key] = basis
         return basis
+
+    def _hold(self, bits: int) -> None:
+        """Count bits more of tables kept; past the budget raise TooLarge."""
+        self.bits += bits
+        if self.bits > self.budget:
+            raise TooLarge(self.bits)
 
     def lift(self, b: int, basis: dict[int, int]) -> dict[int, int]:
         """Level b's basis as a basis of level b-1 on W_b-1 = S_b x W_b.
@@ -179,19 +184,25 @@ class LexGame:
 
         Write it f0 + x * f1 with f0 over std(P0 | P1) and f1 over
         std(P0 & P1). It is f0 on P0 and f0 + f1 on P1, so f1 takes v0 + v1
-        on P0 & P1, and then f0 is fixed on P0 | P1.
+        on P0 & P1, and then f0 is fixed on P0 | P1. The monomial 1 is
+        standard for every nonempty P, so all ones on P give the constant 1.
+        A leaf is interpolated one level down once per game.
         """
         if not values:
             return 0
         u = self.units[b]
+        if values == points:
+            return (1 << u) - 1
         if points == (1 << (u << j)) - 1:
             return gf2_zeta(values, j, u)
         if j == 0:
-            down = self.spreads.get((b, points))
-            if down is None:
-                down = self.spreads[b, points] = self.spread(points, b + 1)
-            f = self.interpolate(b + 1, self.n, down, self.spread(values, b + 1))
-            return self.gather(gf2_zeta(f, self.n, self.units[b + 1]), b + 1)
+            key = (b, points, values)
+            f = self.leaves.get(key)
+            if f is None:
+                f = self.interpolate(b + 1, self.n, self.spread(points, b + 1), self.spread(values, b + 1))
+                f = self.leaves[key] = self.gather(gf2_zeta(f, self.n, self.units[b + 1]), b + 1)
+                self._hold(points.bit_length() + values.bit_length() + f.bit_length())
+            return f
         half = u << (j - 1)
         low = (1 << half) - 1
         p0, p1, v0, v1 = points & low, points >> half, values & low, values >> half

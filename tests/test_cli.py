@@ -234,9 +234,17 @@ def test_check_json_like_stats(tmp_path, capsys):
         assert all(type(value) is int for value in stats.values())
         reduced = stats["reductions_zero"] + stats["reductions_nonzero"]
         assert stats["pairs_queued"] == reduced + stats["dropped_bk"]
-    # q3 puts one fail-prone system on three blocks and solves it once
+    # q3 puts one fail-prone system on three blocks and solves it once. It
+    # fails here, so the lex game builds I(V) and only the two lower blocks'
+    # bases are read, cut to the points V uses
     doc = json.loads(run(["check", "q3", "--input", path, "--format", "json-like"], capsys)[1])
     stats = doc["algebraic"]["stats"]
+    assert (stats["blocks_solved"], stats["blocks_reused"]) == (1, 1)
+    # where q3 holds, V = V0 and the basis is the union of all three block bases
+    singletons = write_input(tmp_path, {**TRIANGLE, "n": 4, "fail_prone": [[1], [2], [3], [4]]}, "q3.json")
+    doc = json.loads(run(["check", "q3", "--input", singletons, "--format", "json-like"], capsys)[1])
+    stats = doc["algebraic"]["stats"]
+    assert doc["algebraic"]["holds"] and stats["variety_points"] == 4 ** 3
     assert (stats["blocks_solved"], stats["blocks_reused"]) == (1, 2)
     # every two quorums meet, so the overlap product is zero on the quorum pairs
     doc = json.loads(run(["check", "consistency", "--input", path, "--format", "json-like"], capsys)[1])
