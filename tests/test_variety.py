@@ -69,8 +69,7 @@ def _q4_descents(monkeypatch, n, f):
 
 
 def test_each_leaf_descends_once(monkeypatch):
-    descents, leaves = _q4_descents(monkeypatch, 4, 1)
-    assert descents == leaves > 0
+    assert _q4_descents(monkeypatch, 4, 1) == (31, 31)
 
 
 def test_leaves_count_toward_the_budget(monkeypatch):
