@@ -70,7 +70,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .algebra import (
     BLOCKS,
@@ -372,18 +372,8 @@ def _solve_blocks(
             systems.setdefault(shift, []).append(tuple(t >> shift for t in p))
         else:
             rest.append(p)
-    solved: dict[frozenset, list[tuple[int, ...]]] = {}
-    seeds: list[tuple[int, ...]] = []
-    for shift, gs in systems.items():
-        key = frozenset(gs)
-        basis = solved.get(key)
-        if basis is None:
-            stats.blocks_solved += 1
-            basis = solved[key] = _reduce_basis(_pair_loop(list(key), [], [], n, stats), n)
-        else:
-            stats.blocks_reused += 1
-        seeds.extend(tuple(t << shift for t in g) for g in basis)
-    return rest, seeds
+    jobs = [(shift, frozenset(gs)) for shift, gs in systems.items()]
+    return rest, _seeds(jobs, lambda key: _reduce_basis(_pair_loop(list(key), [], [], n, stats), n), {}, stats)
 
 
 def _point_seeds(
@@ -393,13 +383,19 @@ def _point_seeds(
     """The bases of blocks given by points (shift, point set), shifted onto
     their fields; built maps each point set, as a bitset, to its basis, so
     that one call builds each distinct set once."""
+    jobs = [(shift, sum(1 << p for p in pts)) for shift, pts in fields]
+    return _seeds(jobs, lambda key: _point_basis(key, n), built, stats)
+
+
+def _seeds(jobs: list, build: Callable, solved: dict, stats: GroebnerStats) -> list[tuple[int, ...]]:
+    """The basis of each job's block, built from its key on the lowest field
+    once per distinct key (solved keeps them) and shifted onto the block."""
     seeds: list[tuple[int, ...]] = []
-    for shift, pts in fields:
-        key = sum(1 << p for p in pts)
-        basis = built.get(key)
+    for shift, key in jobs:
+        basis = solved.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            basis = built[key] = _point_basis(key, n)
+            basis = solved[key] = build(key)
         else:
             stats.blocks_reused += 1
         seeds.extend(tuple(t << shift for t in g) for g in basis)

@@ -52,9 +52,9 @@ def test_interpolate_takes_the_values_on_standard_monomials(drawn):
         assert game.interpolate(0, game.n, points, points) == (1 << game.units[0]) - 1
 
 
-def _q4_descents(monkeypatch, n, f):
-    """Next-block descents of every lex game q4 runs at (n, f), and the
-    distinct (level, points, values) leaves they interpolate."""
+def test_each_leaf_descends_once(monkeypatch):
+    """q4 at n=4, f=1 descends into the next block once per distinct
+    (level, points, values) leaf."""
     descents = []
     real = LexGame.interpolate
 
@@ -64,12 +64,8 @@ def _q4_descents(monkeypatch, n, f):
         return real(self, b, j, points, values)
 
     monkeypatch.setattr(LexGame, "interpolate", interpolate)
-    assert not check_q4(threshold_system(n, f, "classical")[1]).holds
-    return len(descents), len(set(descents))
-
-
-def test_each_leaf_descends_once(monkeypatch):
-    assert _q4_descents(monkeypatch, 4, 1) == (31, 31)
+    assert not check_q4(threshold_system(4, 1, "classical")[1]).holds
+    assert (len(descents), len(set(descents))) == (31, 31)
 
 
 def test_leaves_count_toward_the_budget(monkeypatch):
