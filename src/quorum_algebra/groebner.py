@@ -36,20 +36,15 @@ leading monomial LM(h) divides is retired: it gets no new pairs and no
 longer reduces, but its pending pairs are still reduced. GroebnerStats
 counts what a run did.
 
-A prelude solves the generators that live in one block before the main
-loop. Each block is an n-bit field of the mask; a block's generators
-shifted down to the lowest field are its system, and each distinct system
-is solved once by the same pair loop on n-bit masks, then reduced and
-shifted onto every block that carries it. A block given by its points
-instead is the ideal of that point set, I(P), and its reduced basis is
-built from the points without a pair loop (variety.LexGame). The main loop
-starts from the union of these bases and adds the other generators and the
-products as usual. This is exact: shifting renames variables within a
-block and keeps their order, so a shifted basis is a Boolean Groebner basis
-on its block, and the leading monomials of different blocks are coprime, so
-by the coprime criterion the pairs across blocks reduce to zero and the
-union is a Boolean Groebner basis of the sum. The seeded elements therefore
-get no pairs with each other and no field pairs.
+A block given by its points is the ideal of that point set, I(P), and its
+reduced basis is built from the points without a pair loop
+(variety.LexGame), once per distinct point set, and shifted onto every
+block that carries it. These bases seed the pair loop, which adds the
+generators and the products as usual. The leading monomials of different
+blocks are coprime, so by the coprime criterion the pairs across blocks
+reduce to zero and the union of the block bases is a Boolean Groebner basis
+of their sum; the seeds therefore get no pairs with each other and no field
+pairs.
 
 When every block is given by its points, as in every checker's ideal, the
 ideal is I(V0) + <generators, products>, V0 the product of the block point
@@ -70,7 +65,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .algebra import (
     BLOCKS,
@@ -206,8 +201,7 @@ class IdealBasis:
     Each entry of points is a block and a set of n-bit masks, index 1 on the
     field's top bit (as encoding._field_mask gives): the ideal then also
     holds I(points) on that block, the polynomials in that block's variables
-    vanishing at every listed point. An empty set puts 1 in the ideal. A
-    block with points takes no generator of its own variables only.
+    vanishing at every listed point. An empty set puts 1 in the ideal.
     """
 
     generators: tuple[Polynomial, ...]
@@ -234,9 +228,6 @@ class IdealBasis:
                 raise ValueError(f"points on block {b!r} outside {self.order.blocks}")
             if any(m < 0 or m >> self.n for m in masks):
                 raise ValueError(f"points on block {b!r} must be masks of {self.n} bits")
-        for g in self.generators:
-            if len(g.blocks()) == 1 and g.blocks() <= set(blocks):
-                raise ValueError(f"generator {g} lives only in a block given by points")
 
     def _check(self, g: Polynomial, what: str) -> None:
         if not isinstance(g, Polynomial):
@@ -269,8 +260,8 @@ class GroebnerStats(SimpleNamespace):
             variety_points=0,  # |V|, when the basis is built from the variety V
             retired=0,
             max_active=0,
-            # block bases the route reads: distinct one-block systems or point
-            # sets solved on their own, and blocks given the basis of an equal one
+            # block bases the route reads: distinct point sets solved on their
+            # own, and blocks given the basis of an equal point set
             blocks_solved=0,
             blocks_reused=0,
         )
@@ -351,31 +342,6 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
     return Polynomial(f.n, out)
 
 
-def _solve_blocks(
-    gens: list[tuple[int, ...]], n: int, stats: GroebnerStats
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Solve the generators that live in one block, each distinct system once.
-
-    Blocks are the n-bit fields of a mask. A block's generators, shifted down
-    to the lowest field, are one system; its reduced basis on n-bit masks is
-    shifted back onto every block that carries the same system. Returns the
-    generators left over and the union of the blockwise bases.
-    """
-    rest: list[tuple[int, ...]] = []
-    systems: dict[int, list[tuple[int, ...]]] = {}  # shift -> its generators, shifted down
-    for p in gens:
-        support = 0
-        for t in p:
-            support |= t
-        shift = (support.bit_length() - 1) // n * n
-        if support and support >> shift << shift == support:
-            systems.setdefault(shift, []).append(tuple(t >> shift for t in p))
-        else:
-            rest.append(p)
-    jobs = [(shift, frozenset(gs)) for shift, gs in systems.items()]
-    return rest, _seeds(jobs, lambda key: _reduce_basis(_pair_loop(list(key), [], [], n, stats), n), {}, stats)
-
-
 def _point_seeds(
     fields: Iterable[tuple[int, Collection[int]]], n: int, built: dict[int, list[tuple[int, ...]]],
     stats: GroebnerStats,
@@ -383,19 +349,13 @@ def _point_seeds(
     """The bases of blocks given by points (shift, point set), shifted onto
     their fields; built maps each point set, as a bitset, to its basis, so
     that one call builds each distinct set once."""
-    jobs = [(shift, sum(1 << p for p in pts)) for shift, pts in fields]
-    return _seeds(jobs, lambda key: _point_basis(key, n), built, stats)
-
-
-def _seeds(jobs: list, build: Callable, solved: dict, stats: GroebnerStats) -> list[tuple[int, ...]]:
-    """The basis of each job's block, built from its key on the lowest field
-    once per distinct key (solved keeps them) and shifted onto the block."""
     seeds: list[tuple[int, ...]] = []
-    for shift, key in jobs:
-        basis = solved.get(key)
+    for shift, pts in fields:
+        key = sum(1 << p for p in pts)
+        basis = built.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            basis = solved[key] = build(key)
+            basis = built[key] = _point_basis(key, n)
         else:
             stats.blocks_reused += 1
         seeds.extend(tuple(t << shift for t in g) for g in basis)
@@ -426,16 +386,16 @@ def _variety_basis(
         return None
     variety, stats.products_vanished = evaluate(gens, products, fields, n)
     stats.variety_points = variety.bit_count()
-    if variety == (1 << size) - 1:
-        return _union(_point_seeds(points.items(), n, built, stats))  # I(V) = I(V0)
     if not variety:
         return [(0,)]
+    if variety == (1 << size) - 1:  # I(V) = I(V0), and no block basis is {1}
+        return sorted(_point_seeds(points.items(), n, built, stats), reverse=True)
     # V lies in the product of its projections too, whose tables are smaller
     variety, fields = shrink(variety, fields)
     try:
         found = LexGame(fields, n, _TABLE_BITS).elements(variety)
     except TooLarge:
-        stats.variety_points = 0
+        stats.variety_points = stats.products_vanished = 0
         return None
     lower = _point_seeds(fields[1:], n, built, stats)
     return sorted(found + _reduced_lower(found, lower, len(fields) * n), reverse=True)
@@ -462,12 +422,6 @@ def _reduced_lower(
             g = (g[0],) + _normal_form(g[1:], basis, divisors)
         kept.append(g)
     return kept
-
-
-def _union(seeds: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The seeds as a reduced basis: each block's basis is reduced, and no
-    block's leading monomials divide another's terms."""
-    return [(0,)] if (0,) in seeds else sorted(seeds, reverse=True)
 
 
 def _pair_loop(
@@ -650,16 +604,14 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
 
     points = {field_shift(b, n, blocks): pts for b, pts in B.points}
-    gens, seeds = _solve_blocks([engine(g) for g in B.generators], n, stats)
+    gens = [engine(g) for g in B.generators]
     products = [[engine(f) for f in factors] for factors in B.products]
     built: dict[int, list[tuple[int, ...]]] = {}  # point set -> its basis, this call only
     reduced = None
-    if not gens and not products:
-        reduced = _union(seeds + _point_seeds(points.items(), n, built, stats))
-    elif len(points) == len(blocks):
+    if len(points) == len(blocks):
         reduced = _variety_basis(gens, products, points, n, built, stats)
     if reduced is None:
-        seeds += _point_seeds(points.items(), n, built, stats)
+        seeds = _point_seeds(points.items(), n, built, stats)
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     else:
         stats.max_active = len(reduced)

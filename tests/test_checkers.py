@@ -26,9 +26,16 @@ from quorum_algebra.checkers import (
     check_q4,
     threshold_system,
 )
-from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial
+from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial, parse_polynomial
 from quorum_algebra import groebner
-from quorum_algebra.encoding import ProcessSubset, SetSystem, bool_product, system_char_poly
+from quorum_algebra.encoding import (
+    ProcessSubset,
+    SetSystem,
+    _field_mask,
+    bool_product,
+    overlap_poly,
+    system_char_poly,
+)
 from quorum_algebra.groebner import IdealBasis, buchberger, variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
 
@@ -220,6 +227,19 @@ def test_large_ideals_fall_back_to_the_pair_loop(monkeypatch, limit):
         # the products are folded; availability's flipped relation is paired
         assert fallback.stats.products_folded == len(B.products)
         assert B.products or fallback.stats.pairs_queued > 0
+    # the overlap product is zero on V0 and the other one cuts V; after the
+    # fallback the counters are the pair loop's, which folds both
+    pts = frozenset(_field_mask(m) for m in TWO_SUBSETS)
+    products = (overlap_poly(3, "x", "y"), (parse_polynomial("x1*y1 + x1", 3),))
+    B = IdealBasis((), BlockLexOrder(("x", "y")), 3, products, (("x", pts), ("y", pts)))
+    cert = buchberger(B)
+    assert (cert.stats.products_vanished, cert.stats.variety_points) == (1, 7)
+    with monkeypatch.context() as m:
+        m.setattr(groebner, limit, 8)
+        fallback = buchberger(B)
+    assert fallback == cert
+    stats = fallback.stats
+    assert (stats.products_vanished, stats.variety_points, stats.products_folded) == (0, 0, 2)
 
 
 def test_lex_game_memory_stays_near_its_table_budget(monkeypatch):

@@ -20,6 +20,7 @@ from quorum_algebra.algebra import (
     field_shift,
     parse_polynomial,
 )
+from quorum_algebra import groebner
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
@@ -350,15 +351,13 @@ def test_seeded_blocks_give_the_reduced_basis():
         _checked(_seeded_ideal(rng))
 
 
-def test_one_system_on_two_blocks_is_solved_once():
+def test_one_system_on_two_blocks_and_an_unsatisfiable_block():
     quorums = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
     gens = (system_char_poly(quorums, "x"), system_char_poly(quorums, "y"), p("x1*y1"))
-    stats = _checked(IdealBasis(gens, XY, 3)).stats
-    assert (stats.blocks_solved, stats.blocks_reused) == (1, 1)
-    # a block whose system is unsatisfiable seeds {1}, which decides the ideal
+    _checked(IdealBasis(gens, XY, 3))
+    # a block whose system is unsatisfiable puts 1 in the ideal
     unit = (p("y2"), p("y2 + 1"), p("x1*x2 + x3"))
-    cert = buchberger(IdealBasis(unit, XY, 3))
-    assert cert.basis == (Polynomial.one(3),) and cert.stats.blocks_solved == 2
+    assert buchberger(IdealBasis(unit, XY, 3)).basis == (Polynomial.one(3),)
 
 
 def _points(system):
@@ -588,12 +587,40 @@ def test_idealbasis_validates_points():
         IdealBasis((), X, 3, points=(("x", {0b1000}),))
     with pytest.raises(ValueError, match="masks of 3 bits"):
         IdealBasis((), X, 3, points=(("x", {-1}),))
-    # the union of the point basis and a basis of x's own generators would
-    # not be a Groebner basis of the sum
-    with pytest.raises(ValueError, match="only in a block"):
-        IdealBasis((p("x1 + x2"),), XY, 3, points=(("x", pts),))
-    # a generator over both blocks, or one on another block, is fine
-    IdealBasis((p("x1*y1"), p("y2")), XY, 3, points=(("x", pts),))
+    # any generator may go with points, even one in x's variables alone
+    IdealBasis((p("x1*y1"), p("y2"), p("x1 + x2")), XY, 3, points=(("x", pts),))
+
+
+@pytest.mark.parametrize("route", ["variety", "pair loop", "fallback"])
+def test_one_block_generators_on_blocks_given_by_points(monkeypatch, route):
+    """A generator in the variables of one block given by points is
+    evaluated on V0 when every block has points, and is paired with the
+    point bases by the pair loop otherwise or when V0 is too large."""
+    if route == "fallback":
+        monkeypatch.setattr(groebner, "_V0_LIMIT", 0)
+    rng = seeded(29)
+    for _ in range(60):
+        blocks = tuple(rng.sample(("x", "y", "z"), rng.randint(2, 3)))
+        n = rng.randint(1, 3)
+        given = blocks[:-1] if route == "pair loop" else blocks
+        # an empty point set decides the ideal before V0 is measured
+        fewest = 1 if route == "fallback" else 0
+        points = tuple(
+            (b, frozenset(rng.sample(range(1 << n), rng.randint(fewest, 1 << n)))) for b in given
+        )
+        gens = [g for b in given for g in rand_generators(n, (b,), rng, max_gens=2, max_terms=3)]
+        gens += rand_generators(n, blocks, rng, max_gens=2, max_terms=3)[: rng.randint(0, 2)]
+        products = tuple(
+            tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 2)))
+            for _ in range(rng.randint(0, 1))
+        )
+        B = IdealBasis(tuple(gens), BlockLexOrder(blocks), n, products, points)
+        stats = _checked(B).stats
+        if route == "variety":
+            assert stats.pairs_queued == stats.products_folded == 0
+        else:
+            assert stats.variety_points == stats.products_vanished == 0
+            assert stats.products_folded == len(products)
 
 
 def test_idealbasis_validates_products():
