@@ -52,11 +52,12 @@ sets. A Boolean ideal is radical, so this is I(V) for V the points of V0
 where every generator and product is zero. variety.evaluate finds V from
 the Kronecker structure of V0, variety.shrink cuts each block's points to
 those V uses, and variety.LexGame builds the reduced basis of I(V) one
-block at a time, with no pair loop, no fold and no inter-reduction; when V
-is all of V0 the basis is the union of the block bases. The pair loop
-stays for ideals with a block not given by points, as qa groebner's, for
-V0 over _V0_LIMIT points, and when the lex game's tables would pass
-_TABLE_BITS bits.
+block at a time, with no pair loop, no fold and no inter-reduction, down
+to the first block k where V's projection onto the blocks from k on is the
+product of their point sets; their block bases are the rest (k = 0 when V
+is V0). The pair loop stays for ideals with a block not given by points, as
+qa groebner's, for V0 over _V0_LIMIT points, and when the lex game's tables
+would pass _TABLE_BITS bits.
 """
 
 from __future__ import annotations
@@ -343,12 +344,11 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
 
 
 def _point_seeds(
-    fields: Iterable[tuple[int, Collection[int]]], n: int, built: dict[int, list[tuple[int, ...]]],
-    stats: GroebnerStats,
+    fields: Iterable[tuple[int, Collection[int]]], n: int, stats: GroebnerStats
 ) -> list[tuple[int, ...]]:
     """The bases of blocks given by points (shift, point set), shifted onto
-    their fields; built maps each point set, as a bitset, to its basis, so
-    that one call builds each distinct set once."""
+    their fields, each distinct point set built once."""
+    built: dict[int, list[tuple[int, ...]]] = {}  # point set, as a bitset -> its basis
     seeds: list[tuple[int, ...]] = []
     for shift, pts in fields:
         key = sum(1 << p for p in pts)
@@ -373,13 +373,13 @@ def _variety_basis(
     products: list[list[tuple[int, ...]]],
     points: dict[int, frozenset[int]],
     n: int,
-    built: dict[int, list[tuple[int, ...]]],
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]] | None:
     """The reduced basis of a sum of point ideals on every block, generators
     and products, from its variety V; None when V0 is over _V0_LIMIT or the
-    lex game's tables outgrow _TABLE_BITS. Block bases come from built, as
-    _point_seeds gives them, and only where the basis is made of them."""
+    lex game's tables outgrow _TABLE_BITS. The game gives the elements that
+    lead with a block above k, and the point bases of blocks k and below,
+    whose variables they alone use, give the rest; k is 0 when V is V0."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
     if size > _V0_LIMIT:
@@ -388,40 +388,16 @@ def _variety_basis(
     stats.variety_points = variety.bit_count()
     if not variety:
         return [(0,)]
-    if variety == (1 << size) - 1:  # I(V) = I(V0), and no block basis is {1}
-        return sorted(_point_seeds(points.items(), n, built, stats), reverse=True)
-    # V lies in the product of its projections too, whose tables are smaller
-    variety, fields = shrink(variety, fields)
-    try:
-        found = LexGame(fields, n, _TABLE_BITS).elements(variety)
-    except TooLarge:
-        stats.variety_points = stats.products_vanished = 0
-        return None
-    lower = _point_seeds(fields[1:], n, built, stats)
-    return sorted(found + _reduced_lower(found, lower, len(fields) * n), reverse=True)
-
-
-def _reduced_lower(
-    found: list[tuple[int, ...]], lower: list[tuple[int, ...]], v: int
-) -> list[tuple[int, ...]]:
-    """The elements of the reduced basis of I(V) that lead with a leading
-    monomial of the lower blocks' bases: those no element of found divides,
-    each with its tail in normal form. found and the lower bases together
-    are a Groebner basis of I(V), and found has every other leading monomial
-    of the reduced one."""
-    basis = found + lower
-    divisors = _Divisors(v)
-    for i, g in enumerate(basis):
-        divisors.add(i, g[0])
-    by_found = (1 << len(found)) - 1
-    kept = []
-    for g in lower:
-        if divisors.of(g[0]) & by_found:
-            continue
-        if any(divisors.of(t) & by_found for t in g[1:]):
-            g = (g[0],) + _normal_form(g[1:], basis, divisors)
-        kept.append(g)
-    return kept
+    found, k = [], 0
+    if variety != (1 << size) - 1:  # else I(V) = I(V0), with no game to play
+        # V lies in the product of its projections too, whose tables are smaller
+        variety, fields = shrink(variety, fields)
+        try:
+            found, k = LexGame(fields, n, _TABLE_BITS).elements(variety)
+        except TooLarge:
+            stats.variety_points = stats.products_vanished = 0
+            return None
+    return sorted(found + _point_seeds(fields[k:], n, stats), reverse=True)
 
 
 def _pair_loop(
@@ -606,12 +582,11 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     points = {field_shift(b, n, blocks): pts for b, pts in B.points}
     gens = [engine(g) for g in B.generators]
     products = [[engine(f) for f in factors] for factors in B.products]
-    built: dict[int, list[tuple[int, ...]]] = {}  # point set -> its basis, this call only
     reduced = None
     if len(points) == len(blocks):
-        reduced = _variety_basis(gens, products, points, n, built, stats)
+        reduced = _variety_basis(gens, products, points, n, stats)
     if reduced is None:
-        seeds = _point_seeds(points.items(), n, built, stats)
+        seeds = _point_seeds(points.items(), n, stats)
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     else:
         stats.max_active = len(reduced)

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .algebra import bit_positions, gf2_zeta
 
-# Top-level tables are turned into polynomials this many bits at a time.
+# A level's tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
 
 
@@ -40,11 +40,11 @@ def _standard(points: int, size: int) -> int:
 
 
 class LexGame:
-    """Reduced lex basis of I(V) for a point set V of V0 = S_0 x ... x S_k-1,
+    """Reduced lex basis of I(V) for a point set V of V0 = S_0 x ... x S_last,
     the product of the blocks' point sets, top block first, with no pair loop.
 
     Level b runs the lex game on block b's 2^n cube. The blocks below stay
-    their point sets W_b = S_b+1 x ... x S_k-1, numbered in mixed radix with
+    their point sets W_b = S_b+1 x ... x S_last, numbered in mixed radix with
     the upper block most significant and each S_i ascending: a table of
     level b has unit_b = |W_b| bits per mask of the cube, 2^n * unit_b in
     all, never 2^v. Modulo I(W_b) a polynomial of the lower blocks is its
@@ -56,9 +56,9 @@ class LexGame:
     monomials are standard for I(W_b), keyed by leading monomial m * unit_b
     + w, w the mixed-radix index of a product of lower standard monomials
     (each std(S_i) ascending, so keys order as the monomials do). The rest
-    of that basis are the bases of the lower point sets, reduced; they stay
-    implicit. A leaf, a point set P of W_b, is block b+1's problem one level
-    down (lift).
+    of that basis leads with leading monomials of I(W_b), and elements reads
+    it from the levels below. A leaf, a point set P of W_b, is block b+1's
+    problem one level down (lift).
     """
 
     def __init__(self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf):
@@ -80,14 +80,28 @@ class LexGame:
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.inverses: dict[int, list[list[int]]] = {}
 
-    def elements(self, variety: int) -> list[tuple[int, ...]]:
-        """The elements of the reduced basis of I(V), for V a bitset over
-        V0, whose leading monomials are standard for I(W_0); as engine
-        masks, leading monomial first."""
-        top = self.basis(0, self.n, self.spread(variety, 0))
-        self.memo.clear()  # the top level's tables are all that is left to read
+    def elements(self, variety: int) -> tuple[list[tuple[int, ...]], int]:
+        """The elements of the reduced basis of I(V), V a bitset over V0,
+        that lead with a block above k, as engine masks, leading monomial
+        first; and k, the first block b where V's projection onto blocks b
+        and below is all of S_b x W_b (else the number of blocks). Lex
+        eliminates: level b's basis of that projection holds, at keys from
+        unit_b on, the elements that lead with block b, and level b-1
+        memoised it at j = 0. The point bases of blocks k on are the rest."""
+        levels = []
+        for b, u in enumerate(self.units):
+            if variety == (1 << (u * len(self.pts[b]))) - 1:
+                break
+            basis = self.basis(b, self.n, self.spread(variety, b))
+            levels.append([g for m, g in basis.items() if m >= u])
+            below = 0  # V's projection onto W_b: the OR of its points' runs
+            for i in range(len(self.pts[b])):
+                below |= variety >> i * u & ((1 << u) - 1)
+            variety = below
+        self.memo.clear()  # the kept tables are all that is left to read
         self.leaves.clear()
-        return self.polynomials(list(top.values()))
+        found = [p for b, tables in enumerate(levels) for p in self.polynomials(tables, b)]
+        return found, len(levels)
 
     def spread(self, bits: int, b: int) -> int:
         """A table over S_b x W_b as one over block b's cube: the unit_b bits
@@ -165,9 +179,9 @@ class LexGame:
         """Level b's basis as a basis of level b-1 on W_b-1 = S_b x W_b.
 
         Its elements whose leading monomial is standard for S_b are all
-        standard, so their values on S_b x W_b lose nothing; the others
-        reduce elements of block b's own basis, one level up a part of
-        I(W_b-1) that stays implicit.
+        standard, so their values on S_b x W_b lose nothing. The others lead
+        with a leading monomial of I(S_b), not standard for W_b-1, and
+        elements reads them at level b.
         """
         u, index = self.units[b], self.index[b]
         out = {}
@@ -216,27 +230,27 @@ class LexGame:
             f0 = self.interpolate(b, j - 1, p0 | p1, f0)
         return f0 | f1 << half
 
-    def polynomials(self, tables: list[int]) -> list[tuple[int, ...]]:
-        """Top-level polynomials as engine masks, leading monomial first.
+    def polynomials(self, tables: list[int], level: int) -> list[tuple[int, ...]]:
+        """Polynomials of a level as engine masks, leading monomial first.
 
-        The nonzero runs of all tables, one per top monomial, are stacked
-        _BATCH_BITS bits at a time. In each stack every lower block's values
-        become coefficients over its standard monomials, innermost block
-        first: moved to the outside, the block's points index runs that hold
-        all the rest of the stack, and _coefficients treats them at once.
+        The nonzero runs of all tables, one per monomial of its block, are
+        stacked _BATCH_BITS bits at a time. In each stack every lower block's
+        values become coefficients over its standard monomials, innermost
+        block first: moved to the outside, the block's points index runs that
+        hold all the rest of the stack, and _coefficients treats them at once.
         """
-        unit, shift = self.units[0], self.shifts[0]
+        unit, shift = self.units[level], self.shifts[level]
         total = unit << self.n
         per = max(1, _BATCH_BITS // unit)
-        lower: dict[int, int] = {}  # std(W_0) index -> its monomial
+        lower: dict[int, int] = {}  # std(W_level) index -> its monomial
         terms: list[list[int]] = [[] for _ in tables]
         runs: list[str] = []  # most significant bit first
-        owners: list[tuple[int, int]] = []  # (table, top monomial) of each run
+        owners: list[tuple[int, int]] = []  # (table, its block's monomial) of each run
 
         def flush() -> None:
-            # bit i at index i: the last run first, then the blocks below the top
+            # bit i at index i: the last run first, then the blocks below the level
             stack = "".join(runs)[::-1]
-            for b in range(len(self.pts) - 1, 0, -1):
+            for b in range(len(self.pts) - 1, level, -1):
                 size = len(self.pts[b])
                 stack = "".join(stack[i::size] for i in range(size))  # block b now outermost
                 g = self._coefficients(b, int(stack[::-1], 2), len(stack) // size)
@@ -246,7 +260,7 @@ class LexGame:
                 w, k = divmod(i, len(runs))
                 e, top = owners[-1 - k]
                 if w not in lower:
-                    lower[w] = self._lower_monomial(w)
+                    lower[w] = self._lower_monomial(w, level)
                 terms[e].append(top | lower[w])
                 i = stack.find("1", i + 1)
             runs.clear()
@@ -306,10 +320,10 @@ class LexGame:
                     rows[i] ^= rows[r]
         return [bit_positions(row >> s) for row in rows]
 
-    def _lower_monomial(self, w: int) -> int:
-        """The product of lower standard monomials with mixed-radix index w."""
+    def _lower_monomial(self, w: int, level: int) -> int:
+        """The product of the standard monomials of the blocks below level at mixed-radix index w."""
         mask = 0
-        for b in range(1, len(self.pts)):
+        for b in range(level + 1, len(self.pts)):
             i, w = divmod(w, self.units[b])
             mask |= self.std[b][i] << self.shifts[b]
         return mask

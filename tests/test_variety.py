@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_is_reduced_basis
+from quorum_algebra.algebra import BlockLexOrder, parse_polynomial
 from quorum_algebra.checkers import check_q4, threshold_system
+from quorum_algebra.groebner import IdealBasis, buchberger
 from quorum_algebra.variety import LexGame, TooLarge, _standard
 
 
@@ -38,7 +41,7 @@ def _points_of(game, table):
 def test_interpolate_takes_the_values_on_standard_monomials(drawn):
     game, points, values = drawn
     f = game.interpolate(0, game.n, points, values)
-    (poly,) = game.polynomials([f])
+    (poly,) = game.polynomials([f], 0)
     # it takes values on points
     for p in _points_of(game, points):
         value = sum(1 for t in poly if t & ~p == 0) & 1
@@ -94,3 +97,65 @@ def test_leaves_count_toward_the_budget(monkeypatch):
     with pytest.raises(TooLarge):
         LexGame(fields, n, tables).elements(v)
     assert LexGame(fields, n, game.bits).elements(v) == real(LexGame(fields, n), v)
+
+
+def _stops(monkeypatch):
+    """The (blocks, k) of every game's elements call from now on."""
+    seen = []
+    real = LexGame.elements
+
+    def elements(self, v):
+        found, k = real(self, v)
+        seen.append((len(self.pts), k))
+        return found, k
+
+    monkeypatch.setattr(LexGame, "elements", elements)
+    return seen
+
+
+def test_a_variety_that_is_a_product_plays_no_game(monkeypatch):
+    """V = {01} x {01, 11} is less than V0 but all of the product of its
+    projections: after shrink the game stops at level 0 with no basis call,
+    and the two point bases are the basis."""
+    calls = []
+    real = LexGame.basis
+
+    def basis(self, b, j, points):
+        if len(self.pts) > 1:
+            calls.append((b, j, points))
+        return real(self, b, j, points)
+
+    monkeypatch.setattr(LexGame, "basis", basis)
+    seen = _stops(monkeypatch)
+    B = IdealBasis(
+        (parse_polynomial("x1", 2),), BlockLexOrder(("x", "y")), 2,
+        points=(("x", {0b01, 0b10}), ("y", {0b01, 0b11})),
+    )
+    cert = buchberger(B)
+    assert (calls, seen, cert.stats.blocks_solved) == ([], [(2, 0)], 2)
+    assert_is_reduced_basis(B, cert)
+
+
+def test_q4_stops_below_the_top_block(monkeypatch):
+    """q4 at n=4, f=1: V's projection onto y, z, t is all of their product."""
+    seen = _stops(monkeypatch)
+    cert = check_q4(threshold_system(4, 1, "classical")[1]).certificate
+    assert seen == [(4, 1)]
+    assert (cert.stats.blocks_solved, cert.stats.blocks_reused) == (1, 2)
+
+
+def test_each_level_adds_the_elements_that_lead_with_its_block(monkeypatch):
+    """A generator on all four blocks: V's projection onto z and t is the
+    product of the points V uses there, its projection onto y, z and t is
+    not. Levels x and y each add an element with terms in the blocks below,
+    and the point bases of z and t are the rest."""
+    seen = _stops(monkeypatch)
+    points = (("x", {0b00, 0b11}), ("y", {0b01, 0b10}), ("z", {0b10, 0b11}), ("t", {0b00, 0b10, 0b11}))
+    B = IdealBasis(
+        (parse_polynomial("x2*t2 + y2*z1*z2*t1", 2),), BlockLexOrder(("x", "y", "z", "t")), 2,
+        points=points,
+    )
+    cert = buchberger(B)
+    assert seen == [(4, 2)]
+    assert (cert.stats.blocks_solved, cert.sm_count) == (2, 18)
+    assert_is_reduced_basis(B, cert)
