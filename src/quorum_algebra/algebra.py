@@ -26,8 +26,9 @@ the remaining suffix of blocks.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 BLOCKS = ("x", "y", "z", "t")
@@ -356,17 +357,26 @@ def gf2_zeta(table: int, v: int, unit: int = 1) -> int:
     mask indexes a run of unit bits, the mask times unit being its first, and
     the runs are transformed as whole vectors.
     """
-    total = unit << v
-    for k in range(v):
-        blk = unit << k
-        # pattern marking the indices whose bit k is clear
-        pat = (1 << blk) - 1
-        width = blk * 2
-        while width < total:
-            pat |= pat << width
-            width *= 2
+    for blk, pat in _zeta_steps(v, unit):
         table ^= (table & pat) << blk
     return table
+
+
+@lru_cache(maxsize=128)  # bounded: a step's mask is as wide as the tables it serves
+def _zeta_steps(v: int, unit: int) -> tuple[tuple[int, int], ...]:
+    """gf2_zeta's plan: for each variable k, the run length unit * 2^k and
+    the mask of the indices whose bit k is clear."""
+    return tuple(
+        (unit << k, repeat_bits((1 << (unit << k)) - 1, unit << (k + 1), unit << v)) for k in range(v)
+    )
+
+
+def repeat_bits(pattern: int, period: int, total: int) -> int:
+    """pattern, within period bits, copied every period bits up to total bits or more."""
+    while period < total:
+        pattern |= pattern << period
+        period *= 2
+    return pattern
 
 
 def bit_positions(bits: int) -> list[int]:
@@ -375,22 +385,29 @@ def bit_positions(bits: int) -> list[int]:
     A sparse int (fewer than min(width / 8, 128) set bits) sheds its highest
     set bit in turn, which costs a pass over what is left of it, so this is
     cheap only when there are few bits to shed. Any other int is scanned once
-    as little-endian bytes, taking the lowest set bit of each nonzero byte in
-    turn, so the cost is linear in the width plus the number of set bits.
+    in bytes, or in 64-bit words when under one bit in 16 is set, taking the
+    lowest set bit of each nonzero chunk in turn, so the cost is linear in
+    the width plus the number of set bits.
     """
     out = []
     width = bits.bit_length()
-    if bits.bit_count() < min(width >> 3, 128):
+    count = bits.bit_count()
+    if count < min(width >> 3, 128):
         while bits:
             top = bits.bit_length() - 1
             out.append(top)
             bits ^= 1 << top
         out.reverse()
         return out
-    for i, byte in enumerate(bits.to_bytes((width + 7) // 8, "little")):
-        base = i << 3
-        while byte:
-            low = byte & -byte
+    if count << 4 < width:
+        chunks, step = memoryview(bits.to_bytes((width + 63) // 64 * 8, sys.byteorder)).cast("Q"), 64
+    else:
+        chunks, step = bits.to_bytes((width + 7) // 8, "little"), 8
+    base = 0
+    for chunk in chunks:
+        while chunk:
+            low = chunk & -chunk
             out.append(base + low.bit_length() - 1)
-            byte ^= low
+            chunk ^= low
+        base += step
     return out

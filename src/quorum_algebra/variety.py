@@ -18,9 +18,8 @@ polynomials follow it too (Marinari, Moeller and Mora, AAECC 4, 1993).
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
-from .algebra import bit_positions, gf2_zeta
+from .algebra import bit_positions, gf2_zeta, repeat_bits
 
 # A level's tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
@@ -58,13 +57,15 @@ class LexGame:
     (each std(S_i) ascending, so keys order as the monomials do). The rest
     of that basis leads with leading monomials of I(W_b), and elements reads
     it from the levels below. A leaf, a point set P of W_b, is block b+1's
-    problem one level down (lift).
+    problem one level down (lift). A game keeps each node's basis (memo),
+    each leaf's interpolant (leaves) and each leaf point set spread to the
+    next level (spreads), and counts their bits toward its budget.
     """
 
     def __init__(self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf):
         """fields: shift and ascending n-bit points of each block, top first.
-        budget: the bits the found elements' tables may hold in all; past
-        it basis raises TooLarge."""
+        budget: the bits the tables a game keeps may hold in all; past it
+        basis raises TooLarge."""
         self.n = n
         self.shifts = [shift for shift, _ in fields]
         self.pts = [pts for _, pts in fields]
@@ -75,9 +76,9 @@ class LexGame:
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
         self.budget = budget
-        self.bits = 0  # of the element tables and leaves kept, in memo and leaves
-        self.movers: dict[int, tuple[itemgetter, str, str, itemgetter, str]] = {}
+        self.bits = 0  # of the element tables, leaves and spreads kept
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
+        self.spreads: dict[tuple[int, int], int] = {}  # (b, points of W_b-1) -> spread(points, b)
         self.inverses: dict[int, list[list[int]]] = {}
 
     def elements(self, variety: int) -> tuple[list[tuple[int, ...]], int]:
@@ -98,43 +99,38 @@ class LexGame:
             for i in range(len(self.pts[b])):
                 below |= variety >> i * u & ((1 << u) - 1)
             variety = below
-        self.memo.clear()  # the kept tables are all that is left to read
-        self.leaves.clear()
+        for kept in (self.memo, self.leaves, self.spreads):
+            kept.clear()  # the element tables are all that is left to read
         found = [p for b, tables in enumerate(levels) for p in self.polynomials(tables, b)]
         return found, len(levels)
 
     def spread(self, bits: int, b: int) -> int:
-        """A table over S_b x W_b as one over block b's cube: the unit_b bits
-        of point i move to the place of its mask, the other masks get zeros."""
-        pick, width, zeros, _, _ = self._movers(b)
-        return int("".join(pick(format(bits, width) + zeros)), 2)
+        """A table over S_b x W_b as one over block b's cube: the run of
+        unit_b bits at i * unit_b, point i's, moves to its mask p at
+        p * unit_b; the runs of the other masks are zero."""
+        u = self.units[b]
+        run, table = (1 << u) - 1, 0
+        for p in self.pts[b]:
+            if r := bits & run:
+                table |= r << p * u
+            bits >>= u
+        return table
 
     def gather(self, table: int, b: int) -> int:
         """The inverse of spread: the runs of block b's points, in order."""
-        _, _, _, pick, width = self._movers(b)
-        return int("".join(pick(format(table, width))), 2)
+        u = self.units[b]
+        run, bits = (1 << u) - 1, 0
+        for i, p in enumerate(self.pts[b]):
+            if r := table >> p * u & run:
+                bits |= r << i * u
+        return bits
 
-    def _movers(self, b: int) -> tuple[itemgetter, str, str, itemgetter, str]:
-        """The slices that spread and gather take from a table written most
-        significant bit first, with the formats that write the tables. For
-        spread the table over S_b x W_b is followed by enough zeros to fill
-        the largest gap between the points."""
-        hit = self.movers.get(b)
-        if hit is None:
-            u, pts = self.units[b], self.pts[b]
-            length, size = len(pts) * u, u << self.n
-            gaps = [hi - lo - 1 for lo, hi in zip([-1] + pts, pts + [1 << self.n])][::-1]
-            runs = []  # the gap above each point, top first, then below all
-            for k, gap in enumerate(gaps):
-                if gap:
-                    runs.append(slice(length, length + gap * u))
-                if k < len(pts):
-                    runs.append(slice(k * u, (k + 1) * u))
-            picks = [slice(size - (m + 1) * u, size - m * u) for m in reversed(pts)]
-            hit = self.movers[b] = (
-                itemgetter(*runs), f"0{length}b", "0" * (max(gaps) * u), itemgetter(*picks), f"0{size}b"
-            )
-        return hit
+    def _spread_leaf(self, points: int, b: int) -> int:
+        """spread(points, b) for a leaf point set of level b-1, once per game."""
+        if (b, points) not in self.spreads:
+            table = self.spreads[b, points] = self.spread(points, b)
+            self._hold(points.bit_length() + table.bit_length())
+        return self.spreads[b, points]
 
     def basis(self, b: int, j: int, points: int) -> dict[int, int]:
         """Level b's basis of points, a table over j variables of block b.
@@ -155,7 +151,7 @@ class LexGame:
         if key in self.memo:
             return self.memo[key]
         if j == 0:
-            basis = self.lift(b + 1, self.basis(b + 1, self.n, self.spread(points, b + 1)))
+            basis = self.lift(b + 1, self.basis(b + 1, self.n, self._spread_leaf(points, b + 1)))
         else:
             half = u << (j - 1)
             p0, p1 = points & ((1 << half) - 1), points >> half
@@ -213,7 +209,9 @@ class LexGame:
             key = (b, points, values)
             f = self.leaves.get(key)
             if f is None:
-                f = self.interpolate(b + 1, self.n, self.spread(points, b + 1), self.spread(values, b + 1))
+                f = self.interpolate(
+                    b + 1, self.n, self._spread_leaf(points, b + 1), self.spread(values, b + 1)
+                )
                 f = self.leaves[key] = self.gather(gf2_zeta(f, self.n, self.units[b + 1]), b + 1)
                 self._hold(points.bit_length() + values.bit_length() + f.bit_length())
             return f
@@ -233,67 +231,67 @@ class LexGame:
     def polynomials(self, tables: list[int], level: int) -> list[tuple[int, ...]]:
         """Polynomials of a level as engine masks, leading monomial first.
 
-        The nonzero runs of all tables, one per monomial of its block, are
-        stacked _BATCH_BITS bits at a time. In each stack every lower block's
-        values become coefficients over its standard monomials, innermost
-        block first: moved to the outside, the block's points index runs that
-        hold all the rest of the stack, and _coefficients treats them at once.
+        A table's run at m * unit holds the values on W_level of what its
+        block's monomial m is multiplied by. The nonzero runs of all tables
+        are stacked, run k at k * unit, in one int per _BATCH_BITS bits, where
+        _coefficients turns each lower block's values into coefficients. Bit
+        k * unit + w is then run k's monomial times the lower standard
+        monomials at mixed-radix index w.
         """
         unit, shift = self.units[level], self.shifts[level]
-        total = unit << self.n
         per = max(1, _BATCH_BITS // unit)
-        lower: dict[int, int] = {}  # std(W_level) index -> its monomial
+        high = repeat_bits(1 << (unit - 1), unit, unit << self.n)  # each run's top bit
+        low = ((1 << (unit << self.n)) - 1) ^ high  # the rest of each run
+        lower = [0]  # the products of lower standard monomials, by mixed-radix index
+        for b in range(level + 1, len(self.pts)):
+            lower = [mask | m << self.shifts[b] for mask in lower for m in self.std[b]]
         terms: list[list[int]] = [[] for _ in tables]
-        runs: list[str] = []  # most significant bit first
+        runs: list[int] = []
         owners: list[tuple[int, int]] = []  # (table, its block's monomial) of each run
 
         def flush() -> None:
-            # bit i at index i: the last run first, then the blocks below the level
-            stack = "".join(runs)[::-1]
-            for b in range(len(self.pts) - 1, level, -1):
-                size = len(self.pts[b])
-                stack = "".join(stack[i::size] for i in range(size))  # block b now outermost
-                g = self._coefficients(b, int(stack[::-1], 2), len(stack) // size)
-                stack = format(g, f"0{len(stack)}b")[::-1]
-            i = stack.find("1")
-            while i >= 0:
-                w, k = divmod(i, len(runs))
-                e, top = owners[-1 - k]
-                if w not in lower:
-                    lower[w] = self._lower_monomial(w, level)
+            stack, width = runs, unit
+            while len(stack) > 1:  # pairwise, so each bit moves log(len(runs)) times
+                stack = [lo | hi << width for lo, hi in zip(stack[::2], stack[1::2] + [0])]
+                width *= 2
+            stack = stack[0]
+            for b in range(level + 1, len(self.pts)):
+                stack = self._coefficients(b, stack, self.units[b], len(runs) * unit)
+            for i in bit_positions(stack):
+                k, w = divmod(i, unit)
+                e, top = owners[k]
                 terms[e].append(top | lower[w])
-                i = stack.find("1", i + 1)
             runs.clear()
             owners.clear()
 
         for e, g in enumerate(tables):
-            s = format(g, f"0{total}b")
-            i = s.find("1")
-            while i >= 0:
-                k = i // unit
-                runs.append(s[k * unit:(k + 1) * unit])
-                owners.append((e, ((1 << self.n) - 1 - k) << shift))
+            # a run's top bit is set, or carried into from the rest, when the run is not zero
+            for i in bit_positions((((g & low) + low) | g) & high):
+                m = i // unit
+                runs.append(g >> m * unit & (1 << unit) - 1)
+                owners.append((e, m << shift))
                 if len(runs) == per:
                     flush()
-                i = s.find("1", (k + 1) * unit)
         if runs:
             flush()
         return [tuple(sorted(t, reverse=True)) for t in terms]
 
-    def _coefficients(self, b: int, g: int, rest: int) -> int:
-        """g, runs of rest bits indexed by the points of block b, with the
-        values on S_b at every place of a run replaced by the coefficients
-        over std(S_b): each is a sum of runs, by the rows of the block's
-        inverse evaluation matrix."""
+    def _coefficients(self, b: int, g: int, stride: int, total: int) -> int:
+        """g, total bits with bit i at point (i // stride) mod |S_b| of block
+        b, with its values on S_b replaced by the coefficients over std(S_b).
+        Point c's slice is g shifted down c * stride bits, under stride ones
+        every |S_b| * stride bits; coefficient r sums the slices of row r."""
         if b not in self.inverses:
             self.inverses[b] = self._inverse(b)
-        runs = [g >> c * rest & ((1 << rest) - 1) for c in range(len(self.pts[b]))]
+        size = len(self.pts[b])
+        mask = repeat_bits((1 << stride) - 1, size * stride, total)
+        slices = [g >> c * stride & mask for c in range(size)]
         g = 0
         for r, row in enumerate(self.inverses[b]):
             acc = 0
             for c in row:
-                acc ^= runs[c]
-            g |= acc << r * rest
+                acc ^= slices[c]
+            g |= acc << r * stride
         return g
 
     def _inverse(self, b: int) -> list[list[int]]:
@@ -302,16 +300,10 @@ class LexGame:
         evaluation matrix, invertible since |std(S_b)| = |S_b|."""
         pts, index = self.pts[b], self.index[b]
         s = len(pts)
-        rows = []
-        for i, p in enumerate(pts):
-            row, m = 1 << (s + i), p
-            while True:  # the standard monomials among the submasks m of p
-                if m in index:
-                    row |= 1 << index[m]
-                if not m:
-                    break
-                m = (m - 1) & p
-            rows.append(row)
+        # row i: the standard monomials that divide point i, then i itself
+        rows = [
+            sum(1 << k for m, k in index.items() if m & p == m) | 1 << (s + i) for i, p in enumerate(pts)
+        ]
         for r in range(s):
             pivot = next(i for i in range(r, s) if rows[i] >> r & 1)
             rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -319,14 +311,6 @@ class LexGame:
                 if i != r and rows[i] >> r & 1:
                     rows[i] ^= rows[r]
         return [bit_positions(row >> s) for row in rows]
-
-    def _lower_monomial(self, w: int, level: int) -> int:
-        """The product of the standard monomials of the blocks below level at mixed-radix index w."""
-        mask = 0
-        for b in range(level + 1, len(self.pts)):
-            i, w = divmod(w, self.units[b])
-            mask |= self.std[b][i] << self.shifts[b]
-        return mask
 
 
 def evaluate(
@@ -349,7 +333,7 @@ def evaluate(
     layout = []
     width = 1
     for shift, pts in reversed(fields):  # bottom block first
-        layout.append((shift, pts[::-1], "0" * (width - 1)))
+        layout.append((shift, pts, width))
         width *= len(pts)
     spread: dict[tuple[int, int], int] = {}  # (shift, block monomial) -> its values, spread
 
@@ -357,11 +341,10 @@ def evaluate(
         acc = 0
         for t in poly:
             r = 1
-            for shift, pts, gap in layout:
+            for shift, pts, step in layout:
                 m = t >> shift & ((1 << n) - 1)
                 if (shift, m) not in spread:
-                    bits = gap.join("1" if p & m == m else "0" for p in pts)
-                    spread[shift, m] = int("0" + bits, 2)
+                    spread[shift, m] = sum(1 << i * step for i, p in enumerate(pts) if p & m == m)
                 r *= spread[shift, m]
             acc ^= r
         return acc

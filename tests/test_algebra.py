@@ -304,14 +304,18 @@ def test_parse_format_round_trip_under_property_orders(blocks):
         assert text == "0" if f.is_zero else parse_polynomial(text, n) == f
 
 
-@given(st.integers(0, 4), st.data())
-def test_gf2_zeta_sums_over_subsets(v, data):
-    table = data.draw(st.integers(0, (1 << (1 << v)) - 1))
-    out = gf2_zeta(table, v)
-    for t in range(1 << v):
-        parity = sum(table >> s & 1 for s in range(1 << v) if s & t == s) & 1
-        assert out >> t & 1 == parity
-    assert gf2_zeta(out, v) == table
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), min_size=1, max_size=4), st.data())
+def test_gf2_zeta_sums_over_subsets(calls, data):
+    """Runs of unit bits sum as vectors; calls of mixed (v, unit) in turn
+    share no masks across sizes."""
+    for v, unit in calls:
+        table = data.draw(st.integers(0, (1 << (unit << v)) - 1))
+        out = gf2_zeta(table, v, unit)
+        for t in range(1 << v):
+            for w in range(unit):
+                parity = sum(table >> (s * unit + w) & 1 for s in range(1 << v) if s & t == s) & 1
+                assert out >> (t * unit + w) & 1 == parity
+        assert gf2_zeta(out, v, unit) == table
 
 
 def set_bits(bits, width):
@@ -331,8 +335,10 @@ def test_bit_positions_lists_set_bits_ascending(data):
 
 @pytest.mark.parametrize("width", [8, 64, 300, 1024, 5000])
 def test_bit_positions_either_side_of_the_density_cut(width):
+    """Around the cut between shedding and scanning, and between scanning
+    bytes and words (one set bit in 16)."""
     cut = min(width >> 3, 128)
-    for k in {0, 1, cut - 1, cut, cut + 1} - {-1}:
+    for k in {0, 1, cut - 1, cut, cut + 1, (width >> 4) - 1, width >> 4, (width >> 4) + 1} - {-1}:
         for bits in (
             ((1 << k) - 1) << (width - k),  # set bits packed at the top
             sum(1 << (i * width // max(k, 1)) for i in range(k)),  # spread out

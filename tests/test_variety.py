@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import assert_is_reduced_basis
+from quorum_algebra import variety
 from quorum_algebra.algebra import BlockLexOrder, parse_polynomial
 from quorum_algebra.checkers import check_q4, threshold_system
 from quorum_algebra.groebner import IdealBasis, buchberger
@@ -55,6 +56,55 @@ def test_interpolate_takes_the_values_on_standard_monomials(drawn):
         assert game.interpolate(0, game.n, points, points) == (1 << game.units[0]) - 1
 
 
+@st.composite
+def spread_tables(draw):
+    """A game of one to three blocks on n <= 3, a block b of it and a table
+    over S_b x W_b."""
+    n = draw(st.integers(1, 3))
+    blocks = draw(st.integers(1, 3))
+    fields = [
+        (n * (blocks - 1 - i), sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1))))
+        for i in range(blocks)
+    ]
+    game = LexGame(fields, n)
+    b = draw(st.integers(0, blocks - 1))
+    bits = draw(st.integers(0, (1 << (len(game.pts[b]) * game.units[b])) - 1))
+    return game, b, bits
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=spread_tables())
+def test_spread_and_gather_move_each_points_run(drawn):
+    """spread moves bit i * u + w, point i's, to p_i * u + w, bit by bit;
+    gather undoes it."""
+    game, b, bits = drawn
+    u, pts = game.units[b], game.pts[b]
+    table = game.spread(bits, b)
+    moved = {pts[i] * u + w for i in range(len(pts)) for w in range(u) if bits >> (i * u + w) & 1}
+    assert table == sum(1 << k for k in moved)
+    # the run of every mask that is not a point stays zero
+    assert all(not table >> m * u & ((1 << u) - 1) for m in range(1 << game.n) if m not in pts)
+    assert game.gather(table, b) == bits
+
+
+@pytest.mark.parametrize("batch_bits", [1, 13])
+def test_polynomials_across_batch_boundaries(monkeypatch, batch_bits):
+    """Stacks of one run (batch_bits 1) or of a few runs that cut across
+    tables give the elements one stack gives. Three blocks, the lower two
+    with 3 and 2 points, so y's values lie at stride 2 in level x's runs."""
+    seen = _stops(monkeypatch)
+    B = IdealBasis(
+        (parse_polynomial("x1*y2 + y1*z2 + x2*z1", 2),), BlockLexOrder(("x", "y", "z")), 2,
+        points=(("x", {0b00, 0b01, 0b11}), ("y", {0b00, 0b01, 0b10}), ("z", {0b01, 0b11})),
+    )
+    whole = buchberger(B)
+    monkeypatch.setattr(variety, "_BATCH_BITS", batch_bits)
+    cert = buchberger(B)
+    assert seen == [(3, 2), (3, 2)]
+    assert cert.basis == whole.basis
+    assert_is_reduced_basis(B, cert)
+
+
 def test_each_leaf_descends_once(monkeypatch):
     """q4 at n=4, f=1 descends into the next block once per distinct
     (level, points, values) leaf."""
@@ -73,7 +123,7 @@ def test_each_leaf_descends_once(monkeypatch):
 
 def test_leaves_count_toward_the_budget(monkeypatch):
     """A budget that the element tables alone fit raises TooLarge once the
-    leaves' interpolants are counted too."""
+    leaves' interpolants and the spread leaf point sets are counted too."""
     seen = []
     real = LexGame.elements
 
@@ -93,7 +143,8 @@ def test_leaves_count_toward_the_budget(monkeypatch):
         for m, g in basis.items() if m >= game.units[b] << (j - 1)
     )
     leaves = sum(p.bit_length() + w.bit_length() + f.bit_length() for (_, p, w), f in game.leaves.items())
-    assert leaves > 0 and game.bits == tables + leaves
+    spreads = sum(p.bit_length() + t.bit_length() for (_, p), t in game.spreads.items())
+    assert leaves > 0 and spreads > 0 and game.bits == tables + leaves + spreads
     with pytest.raises(TooLarge):
         LexGame(fields, n, tables).elements(v)
     assert LexGame(fields, n, game.bits).elements(v) == real(LexGame(fields, n), v)
