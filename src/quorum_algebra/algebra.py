@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import re
 import sys
+from array import array
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 BLOCKS = ("x", "y", "z", "t")
@@ -357,18 +358,17 @@ def gf2_zeta(table: int, v: int, unit: int = 1) -> int:
     mask indexes a run of unit bits, the mask times unit being its first, and
     the runs are transformed as whole vectors.
     """
-    for blk, pat in _zeta_steps(v, unit):
+    for blk, pat in zeta_steps(v, unit):
         table ^= (table & pat) << blk
     return table
 
 
-@lru_cache(maxsize=128)  # bounded: a step's mask is as wide as the tables it serves
-def _zeta_steps(v: int, unit: int) -> tuple[tuple[int, int], ...]:
-    """gf2_zeta's plan: for each variable k, the run length unit * 2^k and
-    the mask of the indices whose bit k is clear."""
-    return tuple(
-        (unit << k, repeat_bits((1 << (unit << k)) - 1, unit << (k + 1), unit << v)) for k in range(v)
-    )
+def zeta_steps(v: int, unit: int = 1) -> Iterator[tuple[int, int]]:
+    """gf2_zeta's steps, each mask built when its step comes: for each
+    variable k, the run length unit * 2^k and the mask of the indices whose
+    bit k is clear."""
+    for k in range(v):
+        yield unit << k, repeat_bits((1 << (unit << k)) - 1, unit << (k + 1), unit << v)
 
 
 def repeat_bits(pattern: int, period: int, total: int) -> int:
@@ -382,32 +382,30 @@ def repeat_bits(pattern: int, period: int, total: int) -> int:
 def bit_positions(bits: int) -> list[int]:
     """Positions of the set bits of a nonnegative int, ascending.
 
-    A sparse int (fewer than min(width / 8, 128) set bits) sheds its highest
-    set bit in turn, which costs a pass over what is left of it, so this is
-    cheap only when there are few bits to shed. Any other int is scanned once
-    in bytes, or in 64-bit words when under one bit in 16 is set, taking the
-    lowest set bit of each nonzero chunk in turn, so the cost is linear in
+    An int of at most 64 bits, or a sparse one (fewer than min(width / 8,
+    128) set bits), sheds its highest set bit in turn, which costs a pass
+    over what is left of it, so this is cheap only when there are few bits
+    to shed. Any other int is scanned once in 64-bit words, taking the
+    lowest set bit of each nonzero word in turn, so the cost is linear in
     the width plus the number of set bits.
     """
     out = []
     width = bits.bit_length()
-    count = bits.bit_count()
-    if count < min(width >> 3, 128):
+    if width <= 64 or bits.bit_count() < min(width >> 3, 128):
         while bits:
             top = bits.bit_length() - 1
             out.append(top)
             bits ^= 1 << top
         out.reverse()
         return out
-    if count << 4 < width:
-        chunks, step = memoryview(bits.to_bytes((width + 63) // 64 * 8, sys.byteorder)).cast("Q"), 64
-    else:
-        chunks, step = bits.to_bytes((width + 7) // 8, "little"), 8
+    words = array("Q", bits.to_bytes((width + 63) // 64 * 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()  # array reads the little-endian words in native order
     base = 0
-    for chunk in chunks:
-        while chunk:
-            low = chunk & -chunk
+    for word in words:
+        while word:
+            low = word & -word
             out.append(base + low.bit_length() - 1)
-            chunk ^= low
-        base += step
+            word ^= low
+        base += 64
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import bit_positions, gf2_zeta, repeat_bits
+from .algebra import bit_positions, repeat_bits, zeta_steps
 
 # A level's tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
@@ -58,8 +58,9 @@ class LexGame:
     of that basis leads with leading monomials of I(W_b), and elements reads
     it from the levels below. A leaf, a point set P of W_b, is block b+1's
     problem one level down (lift). A game keeps each node's basis (memo),
-    each leaf's interpolant (leaves) and each leaf point set spread to the
-    next level (spreads), and counts their bits toward its budget.
+    each leaf's interpolant (leaves), each leaf point set spread to the
+    next level (spreads) and the masks of its zeta transforms (zetas), and
+    counts their bits toward its budget.
     """
 
     def __init__(self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf):
@@ -76,9 +77,10 @@ class LexGame:
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
         self.budget = budget
-        self.bits = 0  # of the element tables, leaves and spreads kept
+        self.bits = 0  # of the element tables, leaves, spreads and masks kept
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.spreads: dict[tuple[int, int], int] = {}  # (b, points of W_b-1) -> spread(points, b)
+        self.zetas: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (v, unit) -> zeta_steps(v, unit)
         self.inverses: dict[int, list[list[int]]] = {}
 
     def elements(self, variety: int) -> tuple[list[tuple[int, ...]], int]:
@@ -99,7 +101,7 @@ class LexGame:
             for i in range(len(self.pts[b])):
                 below |= variety >> i * u & ((1 << u) - 1)
             variety = below
-        for kept in (self.memo, self.leaves, self.spreads):
+        for kept in (self.memo, self.leaves, self.spreads, self.zetas):
             kept.clear()  # the element tables are all that is left to read
         found = [p for b, tables in enumerate(levels) for p in self.polynomials(tables, b)]
         return found, len(levels)
@@ -159,11 +161,22 @@ class LexGame:
             only1 = p1 & ~p0
             for m, g in self.basis(b, j - 1, p0 & p1).items():
                 if m not in basis:
-                    t = gf2_zeta(g, j - 1, u) & only1
+                    t = self._zeta(g, j - 1, u) & only1
                     g = basis[half + m] = g << half | self.interpolate(b, j - 1, p0 | p1, t)
                     self._hold(g.bit_length())
         self.memo[key] = basis
         return basis
+
+    def _zeta(self, table: int, v: int, u: int) -> int:
+        """gf2_zeta(table, v, u), with the masks of each (v, u) built once
+        per game."""
+        steps = self.zetas.get((v, u))
+        if steps is None:
+            steps = self.zetas[v, u] = list(zeta_steps(v, u))
+            self._hold(sum(pat.bit_length() for _, pat in steps))
+        for blk, pat in steps:
+            table ^= (table & pat) << blk
+        return table
 
     def _hold(self, bits: int) -> None:
         """Count bits more of tables kept; past the budget raise TooLarge."""
@@ -185,7 +198,7 @@ class LexGame:
             c, w = divmod(m, u)
             i = index.get(c)
             if i is not None:
-                out[i * u + w] = self.gather(gf2_zeta(g, self.n, u), b)
+                out[i * u + w] = self.gather(self._zeta(g, self.n, u), b)
         return out
 
     def interpolate(self, b: int, j: int, points: int, values: int) -> int:
@@ -204,7 +217,7 @@ class LexGame:
         if values == points:
             return (1 << u) - 1
         if points == (1 << (u << j)) - 1:
-            return gf2_zeta(values, j, u)
+            return self._zeta(values, j, u)
         if j == 0:
             key = (b, points, values)
             f = self.leaves.get(key)
@@ -212,7 +225,7 @@ class LexGame:
                 f = self.interpolate(
                     b + 1, self.n, self._spread_leaf(points, b + 1), self.spread(values, b + 1)
                 )
-                f = self.leaves[key] = self.gather(gf2_zeta(f, self.n, self.units[b + 1]), b + 1)
+                f = self.leaves[key] = self.gather(self._zeta(f, self.n, self.units[b + 1]), b + 1)
                 self._hold(points.bit_length() + values.bit_length() + f.bit_length())
             return f
         half = u << (j - 1)
@@ -222,7 +235,7 @@ class LexGame:
         f1 = (v0 ^ v1) & both
         if f1:
             f1 = self.interpolate(b, j - 1, both, f1)
-            v1 ^= gf2_zeta(f1, j - 1, u)  # f1's values
+            v1 ^= self._zeta(f1, j - 1, u)  # f1's values
         f0 = v0 | v1 & p1 & ~p0
         if f0:
             f0 = self.interpolate(b, j - 1, p0 | p1, f0)
@@ -300,10 +313,16 @@ class LexGame:
         evaluation matrix, invertible since |std(S_b)| = |S_b|."""
         pts, index = self.pts[b], self.index[b]
         s = len(pts)
-        # row i: the standard monomials that divide point i, then i itself
-        rows = [
-            sum(1 << k for m, k in index.items() if m & p == m) | 1 << (s + i) for i, p in enumerate(pts)
-        ]
+        rows = []
+        for i, p in enumerate(pts):
+            row, m = 1 << (s + i), p
+            while True:  # the standard monomials among the submasks m of p
+                if m in index:
+                    row |= 1 << index[m]
+                if not m:
+                    break
+                m = (m - 1) & p
+            rows.append(row)
         for r in range(s):
             pivot = next(i for i in range(r, s) if rows[i] >> r & 1)
             rows[r], rows[pivot] = rows[pivot], rows[r]

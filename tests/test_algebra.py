@@ -306,8 +306,7 @@ def test_parse_format_round_trip_under_property_orders(blocks):
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), min_size=1, max_size=4), st.data())
 def test_gf2_zeta_sums_over_subsets(calls, data):
-    """Runs of unit bits sum as vectors; calls of mixed (v, unit) in turn
-    share no masks across sizes."""
+    """Runs of unit bits sum as vectors, over calls of mixed (v, unit)."""
     for v, unit in calls:
         table = data.draw(st.integers(0, (1 << (unit << v)) - 1))
         out = gf2_zeta(table, v, unit)
@@ -316,6 +315,7 @@ def test_gf2_zeta_sums_over_subsets(calls, data):
                 parity = sum(table >> (s * unit + w) & 1 for s in range(1 << v) if s & t == s) & 1
                 assert out >> (t * unit + w) & 1 == parity
         assert gf2_zeta(out, v, unit) == table
+
 
 
 def set_bits(bits, width):
@@ -333,12 +333,12 @@ def test_bit_positions_lists_set_bits_ascending(data):
     assert bit_positions(bits) == set_bits(bits, width)
 
 
-@pytest.mark.parametrize("width", [8, 64, 300, 1024, 5000])
+@pytest.mark.parametrize("width", [8, 64, 65, 300, 1024, 5000])
 def test_bit_positions_either_side_of_the_density_cut(width):
-    """Around the cut between shedding and scanning, and between scanning
-    bytes and words (one set bit in 16)."""
+    """Around the cuts between shedding and scanning words: the density cut,
+    and 64 bits wide."""
     cut = min(width >> 3, 128)
-    for k in {0, 1, cut - 1, cut, cut + 1, (width >> 4) - 1, width >> 4, (width >> 4) + 1} - {-1}:
+    for k in {0, 1, cut - 1, cut, cut + 1, width - 1, width} - {-1}:
         for bits in (
             ((1 << k) - 1) << (width - k),  # set bits packed at the top
             sum(1 << (i * width // max(k, 1)) for i in range(k)),  # spread out

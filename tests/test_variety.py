@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_is_reduced_basis
+from helpers import assert_is_reduced_basis, seeded
 from quorum_algebra import variety
-from quorum_algebra.algebra import BlockLexOrder, parse_polynomial
+from quorum_algebra.algebra import BlockLexOrder, gf2_zeta, parse_polynomial
 from quorum_algebra.checkers import check_q4, threshold_system
 from quorum_algebra.groebner import IdealBasis, buchberger
 from quorum_algebra.variety import LexGame, TooLarge, _standard
@@ -123,7 +123,8 @@ def test_each_leaf_descends_once(monkeypatch):
 
 def test_leaves_count_toward_the_budget(monkeypatch):
     """A budget that the element tables alone fit raises TooLarge once the
-    leaves' interpolants and the spread leaf point sets are counted too."""
+    leaves' interpolants, the spread leaf point sets and the zeta masks
+    are counted too."""
     seen = []
     real = LexGame.elements
 
@@ -144,11 +145,27 @@ def test_leaves_count_toward_the_budget(monkeypatch):
     )
     leaves = sum(p.bit_length() + w.bit_length() + f.bit_length() for (_, p, w), f in game.leaves.items())
     spreads = sum(p.bit_length() + t.bit_length() for (_, p), t in game.spreads.items())
-    assert leaves > 0 and spreads > 0 and game.bits == tables + leaves + spreads
+    masks = sum(pat.bit_length() for steps in game.zetas.values() for _, pat in steps)
+    assert leaves > 0 and spreads > 0 and masks > 0 and game.bits == tables + leaves + spreads + masks
     with pytest.raises(TooLarge):
         LexGame(fields, n, tables).elements(v)
-    assert LexGame(fields, n, game.bits).elements(v) == real(LexGame(fields, n), v)
+    game = LexGame(fields, n, game.bits)
+    assert game.elements(v) == real(LexGame(fields, n), v)
+    assert not (game.memo or game.leaves or game.spreads or game.zetas)  # freed when the game ends
 
+
+
+def test_game_keeps_one_zeta_plan_per_size():
+    """A game's transforms match gf2_zeta over mixed (v, unit), keep one list
+    of masks per size and count its bits toward the budget."""
+    game = LexGame([(0, [0, 3]), (2, [1, 2, 3])], 2)
+    rng = seeded(5)
+    sizes = [(2, 3), (1, 3), (2, 1), (2, 3), (0, 2), (1, 3), (2, 1)]
+    for v, u in sizes:
+        table = rng.getrandbits(u << v)
+        assert game._zeta(table, v, u) == gf2_zeta(table, v, u)
+    assert sorted(game.zetas) == sorted(set(sizes))
+    assert game.bits == sum(pat.bit_length() for steps in game.zetas.values() for _, pat in steps)
 
 def _stops(monkeypatch):
     """The (blocks, k) of every game's elements call from now on."""
