@@ -83,6 +83,12 @@ def _field_moves(src: tuple[str, ...], dst: tuple[str, ...], n: int) -> tuple[tu
     return tuple((s, d, ((1 << w) - 1) << s) for s, d, w in moves)
 
 
+@cache  # one table per n, of which a process sees few
+def _field_masks(n: int) -> tuple[tuple[str, int], ...]:
+    """Each block and the bits of its n-bit field in the x, y, z, t layout."""
+    return tuple((b, ((1 << n) - 1) << field_shift(b, n)) for b in BLOCKS)
+
+
 @dataclass(frozen=True, order=True)
 class Variable:
     """A single variable, identified by block letter and 1-based index."""
@@ -215,8 +221,8 @@ class Polynomial:
         return acc
 
     def blocks(self) -> frozenset[str]:
-        support, n = self.support(), self._n
-        return frozenset(b for b in BLOCKS if support >> field_shift(b, n) & ((1 << n) - 1))
+        support = self.support()
+        return frozenset(b for b, bits in _field_masks(self._n) if support & bits)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):

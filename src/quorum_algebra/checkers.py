@@ -198,7 +198,7 @@ def _decide(
     counted = prop.count or prop.order
     expected = math.prod(len(system) for b, system in members.items() if b in counted)
     if method == "trivial-ideal":
-        trivial = len(cert.basis) == 1 and cert.basis[0].is_one
+        trivial = cert.masks == ((0,),)
         return Verdict(prop.label, trivial, expected, None, cert, method)
     observed = cert.sm_count if prop.count is None else cert.sm_count_for(prop.count)
     return Verdict(prop.label, observed == expected, expected, observed, cert, method)

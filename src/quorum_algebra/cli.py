@@ -150,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "method": verdict.method,
                 "expected_count": verdict.expected_count,
                 "observed_count": verdict.observed_count,
-                "basis_size": len(verdict.certificate.basis),
+                "basis_size": len(verdict.certificate.masks),
                 # counters only: they repeat exactly, so stdout stays deterministic
                 "stats": vars(verdict.certificate.stats),
             }

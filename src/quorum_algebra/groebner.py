@@ -10,6 +10,13 @@ comparison. The Boolean product of two monomials is their OR, d divides m
 when d & ~m == 0, and the cofactor of d in m is m & ~d. A polynomial is a
 tuple of masks in descending order, so the leading monomial is element 0.
 
+A GroebnerCertificate keeps the reduced basis in that form, as its masks,
+and builds Polynomials in the x, y, z, t layout only when its basis is
+read. In the order's layout a suffix of the blocks holds the lowest bits,
+so an element lies in the suffix's variables when its leading monomial is
+below the suffix's top bit, and the standard monomials of an elimination
+sub-basis are counted from the leading masks alone.
+
 The field polynomials x^2 + x never enter the basis. The S-polynomial of an
 element g with x^2 + x, reduced by the field polynomials, is the Boolean
 product x*g, so for each variable x of LM(g) the engine queues that field
@@ -65,6 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
 
@@ -271,24 +279,41 @@ class GroebnerStats(SimpleNamespace):
 @dataclass
 class GroebnerCertificate:
     """Reduced basis plus the standard monomial count over the full ambient;
-    stats, which equality ignores, counts the work of the run behind them."""
+    stats, which equality ignores, counts the work of the run behind them.
 
-    basis: tuple[Polynomial, ...]
+    masks is the basis as the engine holds it: one tuple of masks per
+    element, in the order's own layout, descending, so element 0 is the
+    leading monomial. basis is the same elements as Polynomials, built the
+    first time it is read; the checkers never read it.
+    """
+
+    masks: tuple[tuple[int, ...], ...]
     order: BlockLexOrder
     n: int
     sm_count: int
     stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
 
+    @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        blocks, n = self.order.blocks, self.n
+        return tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in self.masks)
+
     @property
     def blocks(self) -> tuple[str, ...]:
         return self.order.blocks
 
+    def _suffix_top(self, keep_blocks: tuple[str, ...]) -> int:
+        """The bit just above a block suffix's fields, which are the lowest
+        bits of the order's layout: its monomials are the masks below it."""
+        keep = tuple(keep_blocks)
+        if not self.order.is_elimination_suffix(keep):
+            raise ValueError(f"{keep} is not a suffix of block sequence {self.order.blocks}")
+        return 1 << len(keep) * self.n
+
     def sm_count_for(self, keep_blocks: tuple[str, ...]) -> int:
         """Standard monomials of the elimination sub-basis over a block suffix."""
-        keep = tuple(keep_blocks)
-        suborder = BlockLexOrder(keep)
-        sub = elimination_subbasis(self, keep)
-        return standard_monomial_count(sub, suborder.variables(self.n), suborder)
+        top = self._suffix_top(keep_blocks)
+        return _sm_count_masks([p[0] for p in self.masks if p[0] < top], top - 1)
 
 
 def reduce_once(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
@@ -590,10 +615,9 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
     else:
         stats.max_active = len(reduced)
-    polys = tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in reduced)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
-        basis=polys, order=B.order, n=n, sm_count=count, stats=stats
+        masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats
     )
 
 
@@ -601,13 +625,11 @@ def elimination_subbasis(cert: GroebnerCertificate, keep_blocks: tuple[str, ...]
     """Basis elements lying entirely in a suffix of the block sequence.
 
     For a block lexicographic order this is a Groebner basis of the
-    elimination ideal over the kept blocks.
+    elimination ideal over the kept blocks. An element lies there when its
+    leading monomial, the largest of its masks, does.
     """
-    keep = tuple(keep_blocks)
-    if not cert.order.is_elimination_suffix(keep):
-        raise ValueError(f"{keep} is not a suffix of block sequence {cert.order.blocks}")
-    keepset = set(keep)
-    return tuple(g for g in cert.basis if g.blocks() <= keepset)
+    top = cert._suffix_top(keep_blocks)
+    return tuple(g for g, p in zip(cert.basis, cert.masks) if p[0] < top)
 
 
 def _minimal(masks: Iterable[int]) -> tuple[int, ...]:

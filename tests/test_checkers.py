@@ -68,8 +68,8 @@ def test_classical_single_quorum():
 
 def test_classical_methods_agree():
     rng = seeded(41)
-    for _ in range(25):
-        quorums = rand_system(3, rng)
+    # the empty quorum meets none: the flipped basis is the one element x1*y1, not {1}
+    for quorums in [SetSystem.from_lists(1, [[], [1]])] + [rand_system(3, rng) for _ in range(25)]:
         by_count = check_consistency_classical(quorums, method="sm-count")
         by_trivial = check_consistency_classical(quorums, method="trivial-ideal")
         assert by_count.holds == by_trivial.holds
@@ -495,6 +495,11 @@ def test_q3_matches_threshold_existence():
             assert (diss and avail) == (3 * f < n)
 
 
+def _basis_digest(cert):
+    text = "".join(f"{format_polynomial(g, cert.order)}\n" for g in cert.basis)
+    return hashlib.sha256(f"{text}{cert.sm_count}".encode()).hexdigest()
+
+
 def threshold_basis_digests():
     """SHA-256 of every checker's formatted reduced basis and sm_count.
 
@@ -527,9 +532,7 @@ def threshold_basis_digests():
                     reads = (fail_prone,) if name in ("q3", "q4") else (quorums, fail_prone)
                     key = (name, tuple(tuple(m.mask for m in s) for s in reads))
                     if key not in seen:
-                        cert = check(quorums, fail_prone).certificate
-                        text = "".join(f"{format_polynomial(g, cert.order)}\n" for g in cert.basis)
-                        seen[key] = hashlib.sha256(f"{text}{cert.sm_count}".encode()).hexdigest()
+                        seen[key] = _basis_digest(check(quorums, fail_prone).certificate)
                     table[f"{kind} n={n} f={f} {name}"] = seen[key]
     return table
 
@@ -538,3 +541,21 @@ def test_threshold_bases_are_pinned():
     # the table was recorded with the earlier ordinary-ring engine, which
     # adjoined the field polynomials to every basis
     assert threshold_basis_digests() == json.loads(PINNED_BASES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("n, f", [(3, 1), (4, 1), (5, 1)])
+def test_checkers_leave_the_polynomial_view_unbuilt(n, f):
+    """The checkers decide from the masks; the Polynomials, built when the
+    basis is read afterwards, are still the pinned ones."""
+    pinned = json.loads(PINNED_BASES.read_text(encoding="utf-8"))
+    quorums, fail_prone = threshold_system(n, f, "classical")
+    verdicts = {
+        "consistency": check_consistency_classical(quorums),
+        "consistency-trivial": check_consistency_classical(quorums, "trivial-ideal"),
+        "availability": check_availability(quorums, fail_prone),
+    }
+    for name, verdict in verdicts.items():
+        cert = verdict.certificate
+        assert "basis" not in vars(cert), name
+        assert _basis_digest(cert) == pinned[f"classical n={n} f={f} {name}"], name
+        assert "basis" in vars(cert)

@@ -14,10 +14,12 @@ from helpers import (
     sm_count_enumerate,
 )
 from quorum_algebra.algebra import (
+    BLOCKS,
     BlockLexOrder,
     Polynomial,
     Variable,
     field_shift,
+    move_fields,
     parse_polynomial,
 )
 from quorum_algebra import groebner
@@ -495,12 +497,51 @@ def test_standard_monomial_count_rejects_foreign_variables():
 def test_elimination_subbasis_examples():
     order = BlockLexOrder(("x", "y"))
     g1, g2 = p("x1 + y1", 1), p("y1", 1)
-    cert = GroebnerCertificate(basis=(g1, g2), order=order, n=1, sm_count=0)
+    # in the order's layout at n=1, x1 is bit 1 and y1 bit 0
+    cert = GroebnerCertificate(masks=((0b10, 0b01), (0b01,)), order=order, n=1, sm_count=0)
+    assert cert.basis == (g1, g2)
     assert elimination_subbasis(cert, ("y",)) == (g2,)
-    cert = GroebnerCertificate(basis=(p("1", 1),), order=order, n=1, sm_count=0)
+    cert = GroebnerCertificate(masks=((0,),), order=order, n=1, sm_count=0)
     assert elimination_subbasis(cert, ("y",)) == (p("1", 1),)
     with pytest.raises(ValueError):
         elimination_subbasis(cert, ("x",))
+
+
+def _random_ideal(blocks, rng):
+    """Random generators on blocks; half the time every block is also given
+    by points, so the basis comes from the variety, else from the pair loop."""
+    n = rng.randint(1, 3)
+    points = ()
+    if rng.random() < 0.5:
+        points = tuple((b, rng.sample(range(1 << n), rng.randint(1, 1 << n))) for b in blocks)
+    return IdealBasis(rand_generators(n, blocks, rng), BlockLexOrder(blocks), n, points=points)
+
+
+@pytest.mark.parametrize("blocks", [("x", "y"), ("y", "x"), ("t", "x", "z")])
+def test_masks_are_the_basis_and_count_every_suffix(blocks):
+    rng = seeded(31)
+    routes = set()
+    for _ in range(40):
+        B = _random_ideal(blocks, rng)
+        cert, n, order = buchberger(B), B.n, B.order
+        routes.add(cert.stats.variety_points > 0)
+        assert len(cert.masks) == len(cert.basis)
+        for g, masks in zip(cert.basis, cert.masks):
+            assert list(masks) == sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True)
+        lms = [g.leading_monomial(order) for g in cert.basis]
+        assert [m[0] for m in cert.masks] == move_fields(lms, BLOCKS, blocks, n)
+        for k in range(1, len(blocks) + 1):
+            keep = blocks[-k:]
+            sub = elimination_subbasis(cert, keep)
+            assert sub == tuple(g for g in cert.basis if g.blocks() <= set(keep))
+            suborder = BlockLexOrder(keep)
+            expected = standard_monomial_count(sub, suborder.variables(n), suborder)
+            assert cert.sm_count_for(keep) == expected
+        with pytest.raises(ValueError):
+            cert.sm_count_for(blocks[:1])
+        with pytest.raises(ValueError):
+            cert.sm_count_for(blocks[1:2] + blocks[:1])
+    assert routes == {False, True}
 
 
 def test_elimination_matches_projection_and_extension():
