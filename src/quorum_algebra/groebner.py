@@ -298,10 +298,6 @@ class GroebnerCertificate:
         blocks, n = self.order.blocks, self.n
         return tuple(Polynomial(n, move_fields(p, blocks, BLOCKS, n)) for p in self.masks)
 
-    @property
-    def blocks(self) -> tuple[str, ...]:
-        return self.order.blocks
-
     def _suffix_top(self, keep_blocks: tuple[str, ...]) -> int:
         """The bit just above a block suffix's fields, which are the lowest
         bits of the order's layout: its monomials are the masks below it."""

@@ -1,16 +1,17 @@
 """Brute-force set-theoretic reference checks for quorum system properties.
 
-Everything here works on plain frozensets of process indices with nested
-loops over the definitions, sharing no code with the polynomial machinery,
-so the two routes can cross-validate each other. Reports carry a witness
-when the property fails: the tuple of sets exhibiting the violation, in the
-first position found under the deterministic member ordering.
+Everything here runs nested loops over the definitions on the members'
+subset masks (bit i-1 is process Pi), sharing no code with the polynomial
+machinery, so the two routes can cross-validate each other. Every tuple is
+enumerated in member order. Reports carry a witness when the property
+fails: the tuple of sets exhibiting the violation, in the first position
+found, turned into frozensets of process indices only then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .encoding import ProcessSubset, SetSystem
 
@@ -27,51 +28,56 @@ class OracleReport:
         return ", ".join("{" + ",".join(f"P{i}" for i in sorted(w)) + "}" for w in self.witness)
 
 
-def _sets(system: SetSystem) -> list[frozenset[int]]:
-    return [frozenset(m.indices) for m in system.members]
+def _fails(label: str, *masks: int) -> OracleReport:
+    """A failing report whose witness is the masks' sets of process indices."""
+    witness = tuple(frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1) for m in masks)
+    return OracleReport(label, False, witness)
 
 
 def oracle_consistency_classical(quorums: SetSystem) -> OracleReport:
     """Every two quorums (repetition allowed) share a process."""
-    qs = _sets(quorums)
+    qs = [m.mask for m in quorums]
     for q1 in qs:
         for q2 in qs:
             if not q1 & q2:
-                return OracleReport("classical-consistency", False, (q1, q2))
+                return _fails("classical-consistency", q1, q2)
     return OracleReport("classical-consistency", True)
 
 
 def oracle_availability(quorums: SetSystem, fail_prone: SetSystem) -> OracleReport:
     """Every fail-prone set leaves some quorum untouched."""
-    qs = _sets(quorums)
-    for f in _sets(fail_prone):
-        if not any(not (q & f) for q in qs):
-            return OracleReport("availability", False, (f,))
+    qs = [m.mask for m in quorums]
+    for f in (m.mask for m in fail_prone):
+        if all(q & f for q in qs):
+            return _fails("availability", f)
     return OracleReport("availability", True)
 
 
 def oracle_consistency_dissemination(quorums: SetSystem, fail_prone: SetSystem) -> OracleReport:
     """No two quorums meet entirely inside a fail-prone set."""
-    qs = _sets(quorums)
-    fs = _sets(fail_prone)
+    qs = [m.mask for m in quorums]
+    outside = [~m.mask for m in fail_prone]  # meet & ~f is what f misses of the meet
     for q1 in qs:
         for q2 in qs:
-            for f in fs:
-                if q1 & q2 <= f:
-                    return OracleReport("dissemination-consistency", False, (q1, q2, f))
+            meet = q1 & q2
+            for c in outside:
+                if not meet & c:
+                    return _fails("dissemination-consistency", q1, q2, ~c)
     return OracleReport("dissemination-consistency", True)
 
 
 def oracle_consistency_masking(quorums: SetSystem, fail_prone: SetSystem) -> OracleReport:
     """No quorum meet, less one fail-prone set, lands inside another."""
-    qs = _sets(quorums)
-    fs = _sets(fail_prone)
+    qs = [m.mask for m in quorums]
+    outside = [~m.mask for m in fail_prone]
     for q1 in qs:
         for q2 in qs:
-            for f1 in fs:
-                for f2 in fs:
-                    if (q1 & q2) - f1 <= f2:
-                        return OracleReport("masking-consistency", False, (q1, q2, f1, f2))
+            meet = q1 & q2
+            for c1 in outside:
+                rest = meet & c1
+                for c2 in outside:
+                    if not rest & c2:
+                        return _fails("masking-consistency", q1, q2, ~c1, ~c2)
     return OracleReport("masking-consistency", True)
 
 
@@ -86,11 +92,23 @@ def oracle_q4(fail_prone: SetSystem) -> OracleReport:
 
 
 def _no_cover(label: str, fail_prone: SetSystem, k: int) -> OracleReport:
-    # the sets lie in {1..n}, so they cover it exactly when their union has n members
-    for sets in product(_sets(fail_prone), repeat=k):
-        if len(frozenset().union(*sets)) == fail_prone.n:
-            return OracleReport(label, False, sets)
-    return OracleReport(label, True)
+    fs = [m.mask for m in fail_prone]
+    full = (1 << fail_prone.n) - 1
+
+    def first(union: int, k: int) -> tuple[int, ...] | None:
+        """The first k-tuple of fs, in product order, that completes union to full."""
+        if k == 1:
+            for f in fs:
+                if union | f == full:
+                    return (f,)
+            return None
+        for f in fs:
+            if (tail := first(union | f, k - 1)) is not None:
+                return (f, *tail)
+        return None
+
+    cover = first(0, k)
+    return OracleReport(label, True) if cover is None else _fails(label, *cover)
 
 
 def fstar_enumerate(fail_prone: SetSystem) -> SetSystem:
@@ -100,19 +118,22 @@ def fstar_enumerate(fail_prone: SetSystem) -> SetSystem:
     deterministic regardless of input order.
     """
     n = fail_prone.n
-    closure: set[frozenset[int]] = set()
+    closure: set[int] = set()
     for m in fail_prone.members:
-        idx = m.indices
-        for k in range(len(idx) + 1):
-            closure.update(frozenset(c) for c in combinations(idx, k))
-    ordered = sorted(closure, key=lambda s: (len(s), sorted(s)))
-    return SetSystem(n, (ProcessSubset.from_indices(s, n) for s in ordered))
+        sub = mask = m.mask
+        while sub:
+            closure.add(sub)
+            sub = (sub - 1) & mask
+    closure.add(0)
+    # among sets of one size, the one holding the lowest index where they
+    # differ sorts first: its bit-reversed mask is the larger
+    ordered = sorted(closure, key=lambda s: (s.bit_count(), -int(f"{s:0{n}b}"[::-1], 2)))
+    return SetSystem(n, (ProcessSubset(s, n) for s in ordered))
 
 
 def antichain_check(system: SetSystem) -> bool:
     """True when no member contains another."""
-    sets = _sets(system)
-    return not any(a < b or b < a for a, b in combinations(sets, 2))
+    return system.is_antichain
 
 
 def all_antichain_systems(n: int, max_members: int) -> list[SetSystem]:
@@ -120,11 +141,10 @@ def all_antichain_systems(n: int, max_members: int) -> list[SetSystem]:
 
     Exhaustive reference family for cross-validation at small n.
     """
-    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
-    out: list[SetSystem] = []
-    for r in range(1, max_members + 1):
-        for combo in combinations(subsets, r):
-            if any(a < b or b < a for a, b in combinations(combo, 2)):
-                continue
-            out.append(SetSystem(n, (ProcessSubset.from_indices(s, n) for s in combo)))
-    return out
+    subsets = [sum(1 << i for i in c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+    return [
+        SetSystem(n, (ProcessSubset(s, n) for s in combo))
+        for r in range(1, max_members + 1)
+        for combo in combinations(subsets, r)
+        if not any((a & b) in (a, b) for a, b in combinations(combo, 2))
+    ]

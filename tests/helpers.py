@@ -1,6 +1,8 @@
-"""Seeded random generators and the engine-free basis check shared by the test modules."""
+"""Seeded random generators, the engine-free basis check and the frozenset
+oracle reference shared by the test modules."""
 
 import random
+from itertools import combinations, product
 
 from quorum_algebra.algebra import Polynomial, Variable
 from quorum_algebra.encoding import SetSystem, bool_product
@@ -99,3 +101,79 @@ def assert_is_reduced_basis(B, cert):
     # sorted by leading monomial, most significant first
     keys = [tuple(bool(lm & var.mask(n)) for var in variables) for lm in lms]
     assert keys == sorted(keys, reverse=True)
+
+
+# Reference transcription of the oracle definitions on frozensets of process
+# indices, in the oracle's enumeration order. Each returns (holds, witness).
+
+
+def _sets(system):
+    return [frozenset(m.indices) for m in system.members]
+
+
+def ref_consistency_classical(quorums):
+    qs = _sets(quorums)
+    for q1 in qs:
+        for q2 in qs:
+            if not q1 & q2:
+                return False, (q1, q2)
+    return True, None
+
+
+def ref_availability(quorums, fail_prone):
+    qs = _sets(quorums)
+    for f in _sets(fail_prone):
+        if not any(not (q & f) for q in qs):
+            return False, (f,)
+    return True, None
+
+
+def ref_consistency_dissemination(quorums, fail_prone):
+    qs, fs = _sets(quorums), _sets(fail_prone)
+    for q1 in qs:
+        for q2 in qs:
+            for f in fs:
+                if q1 & q2 <= f:
+                    return False, (q1, q2, f)
+    return True, None
+
+
+def ref_consistency_masking(quorums, fail_prone):
+    qs, fs = _sets(quorums), _sets(fail_prone)
+    for q1 in qs:
+        for q2 in qs:
+            for f1 in fs:
+                for f2 in fs:
+                    if (q1 & q2) - f1 <= f2:
+                        return False, (q1, q2, f1, f2)
+    return True, None
+
+
+def ref_no_cover(fail_prone, k):
+    for sets in product(_sets(fail_prone), repeat=k):
+        if len(frozenset().union(*sets)) == fail_prone.n:
+            return False, sets
+    return True, None
+
+
+def ref_fstar(fail_prone):
+    """The downward closure's members, by size then sorted indices."""
+    closure = set()
+    for s in _sets(fail_prone):
+        for k in range(len(s) + 1):
+            closure.update(frozenset(c) for c in combinations(sorted(s), k))
+    return sorted(closure, key=lambda s: (len(s), sorted(s)))
+
+
+def ref_antichain(system):
+    return not any(a < b or b < a for a, b in combinations(_sets(system), 2))
+
+
+def ref_antichain_systems(n, max_members):
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+    return [
+        SetSystem.from_lists(n, [sorted(s) for s in combo])
+        for r in range(1, max_members + 1)
+        for combo in combinations(subsets, r)
+        if not any(a < b or b < a for a, b in combinations(combo, 2))
+    ]

@@ -2,8 +2,22 @@
 
 from itertools import combinations
 
-from helpers import rand_system, seeded
-from quorum_algebra.encoding import SetSystem
+import pytest
+from helpers import (
+    rand_system,
+    ref_antichain,
+    ref_antichain_systems,
+    ref_availability,
+    ref_consistency_classical,
+    ref_consistency_dissemination,
+    ref_consistency_masking,
+    ref_fstar,
+    ref_no_cover,
+    seeded,
+)
+from quorum_algebra import algebra, encoding, groebner, variety
+from quorum_algebra.checkers import threshold_system
+from quorum_algebra.encoding import ProcessSubset, SetSystem
 from quorum_algebra.oracle import (
     all_antichain_systems,
     antichain_check,
@@ -131,6 +145,7 @@ def test_antichain_check():
 def test_all_antichain_systems_over_three():
     family = all_antichain_systems(3, 4)
     assert len(family) == 18
+    assert family == ref_antichain_systems(3, 4)  # the same systems, in the same order
     seen = set()
     for system in family:
         assert 1 <= len(system) <= 4
@@ -144,3 +159,69 @@ def test_all_antichain_systems_over_three():
 def test_all_antichain_systems_member_bound():
     assert len(all_antichain_systems(2, 1)) == 3  # {1}, {2}, {1,2}
     assert len(all_antichain_systems(2, 4)) == 4  # plus {{1},{2}}
+    for n in (1, 2, 4):
+        assert all_antichain_systems(n, 2) == ref_antichain_systems(n, 2)
+
+
+# each oracle, its frozenset reference, and whether it reads quorums,
+# fail-prone sets or both
+ORACLES = (
+    (oracle_consistency_classical, ref_consistency_classical, "q"),
+    (oracle_availability, ref_availability, "qf"),
+    (oracle_consistency_dissemination, ref_consistency_dissemination, "qf"),
+    (oracle_consistency_masking, ref_consistency_masking, "qf"),
+    (oracle_q3, lambda fail_prone: ref_no_cover(fail_prone, 3), "f"),
+    (oracle_q4, lambda fail_prone: ref_no_cover(fail_prone, 4), "f"),
+)
+
+
+def _args(reads, quorums, fail_prone):
+    return {"q": (quorums,), "f": (fail_prone,), "qf": (quorums, fail_prone)}[reads]
+
+
+def _rand_masks(n, rng):
+    """Distinct random subsets of {1..n} in random order, the empty set and nested ones allowed."""
+    masks = dict.fromkeys(rng.getrandbits(n) for _ in range(rng.randint(1, 6)))
+    return SetSystem(n, (ProcessSubset(m, n) for m in masks))
+
+
+def test_oracles_match_the_frozenset_reference():
+    rng = seeded(41)
+    outcomes = {oracle: set() for oracle, _, _ in ORACLES}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        quorums, fail_prone = _rand_masks(n, rng), _rand_masks(n, rng)
+        for oracle, reference, reads in ORACLES:
+            args = _args(reads, quorums, fail_prone)
+            report = oracle(*args)
+            # the exact first witness, not just some violating tuple
+            assert (report.holds, report.witness) == reference(*args), (oracle, quorums, fail_prone)
+            outcomes[oracle].add(report.holds)
+        assert [frozenset(m.indices) for m in fstar_enumerate(fail_prone)] == ref_fstar(fail_prone)
+        assert antichain_check(quorums) == ref_antichain(quorums)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_oracles_share_no_bit_scanner_with_the_engine(monkeypatch):
+    inputs = [threshold_system(5, 1, "masking"), threshold_system(5, 2, "classical"), (SINGLETONS, SINGLETONS)]
+    expected = [
+        [reference(*_args(reads, *systems)) for _, reference, reads in ORACLES] for systems in inputs
+    ]
+    closures = [ref_fstar(fail_prone) for _, fail_prone in inputs]
+
+    def scanner(bits):
+        raise AssertionError("the oracle called the engine's bit scanner")
+
+    for module in (algebra, encoding, groebner, variety):
+        monkeypatch.setattr(module, "bit_positions", scanner)
+    with pytest.raises(AssertionError):
+        SINGLETONS[0].indices  # the patch reaches ProcessSubset.indices
+    outcomes = set()
+    for systems, wanted, closure in zip(inputs, expected, closures):
+        for (oracle, _, reads), (holds, witness) in zip(ORACLES, wanted):
+            report = oracle(*_args(reads, *systems))
+            assert (report.holds, report.witness) == (holds, witness)
+            outcomes.add((oracle, holds))
+        members = fstar_enumerate(systems[1])
+        assert [{i for i in range(1, 6) if m.contains(i)} for m in members] == closure
+    assert len(outcomes) == 2 * len(ORACLES)  # each oracle both holds and fails here
