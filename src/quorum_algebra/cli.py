@@ -1,7 +1,8 @@
 """Command line front end: property checks, Groebner runs, threshold generation.
 
 Exit codes for `check`: 0 the property holds, 1 it fails, 2 input or usage
-error, 3 the algebraic and oracle verdicts disagree. Reports on stdout are
+error, or a checker ideal over its variable or table budget, 3 the
+algebraic and oracle verdicts disagree. Reports on stdout are
 byte-deterministic for identical inputs; timing goes to stderr.
 
 Input files are JSON: {"n": int, "quorums": [[indices]], "fail_prone":

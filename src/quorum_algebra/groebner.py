@@ -62,9 +62,10 @@ those V uses, and variety.LexGame builds the reduced basis of I(V) one
 block at a time, with no pair loop, no fold and no inter-reduction, down
 to the first block k where V's projection onto the blocks from k on is the
 product of their point sets; their block bases are the rest (k = 0 when V
-is V0). The pair loop stays for ideals with a block not given by points, as
-qa groebner's, for V0 over _V0_LIMIT points, and when the lex game's tables
-would pass _TABLE_BITS bits.
+is V0). V0's bitset and the game's tables share one budget, _TABLE_BITS
+bits; past it the route raises variety.TooLarge, a ValueError, and never
+hands the ideal to the pair loop. The pair loop runs the ideals with a block
+not given by points, as qa groebner's.
 """
 
 from __future__ import annotations
@@ -88,12 +89,8 @@ from .algebra import (
 )
 from .variety import LexGame, TooLarge, evaluate, shrink
 
-# Above this many points of V0 the pair loop builds the basis: one value
-# bitset of V0 is then 512 KB.
-_V0_LIMIT = 1 << 22
-# Past this many bits (128 MiB) of the lex game's tables the pair loop
-# builds the basis: it is slower there but holds far less.
-_TABLE_BITS = 1 << 30
+# The bits (256 MiB) that V0's bitset and the lex game's tables may hold in all.
+_TABLE_BITS = 1 << 31
 
 
 def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
@@ -395,16 +392,17 @@ def _variety_basis(
     points: dict[int, frozenset[int]],
     n: int,
     stats: GroebnerStats,
-) -> list[tuple[int, ...]] | None:
+) -> list[tuple[int, ...]]:
     """The reduced basis of a sum of point ideals on every block, generators
-    and products, from its variety V; None when V0 is over _V0_LIMIT or the
-    lex game's tables outgrow _TABLE_BITS. The game gives the elements that
-    lead with a block above k, and the point bases of blocks k and below,
-    whose variables they alone use, give the rest; k is 0 when V is V0."""
+    and products, from its variety V. The game gives the elements that lead
+    with a block above k, and the point bases of blocks k and below, whose
+    variables they alone use, give the rest; k is 0 when V is V0. Raises
+    TooLarge, before evaluating anything, when V0's bitset passes
+    _TABLE_BITS, and when it and the game's tables pass it together."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
-    if size > _V0_LIMIT:
-        return None
+    if size > _TABLE_BITS:
+        raise TooLarge("V0, the product of the block point sets,", size, _TABLE_BITS)
     variety, stats.products_vanished = evaluate(gens, products, fields, n)
     stats.variety_points = variety.bit_count()
     if not variety:
@@ -413,11 +411,7 @@ def _variety_basis(
     if variety != (1 << size) - 1:  # else I(V) = I(V0), with no game to play
         # V lies in the product of its projections too, whose tables are smaller
         variety, fields = shrink(variety, fields)
-        try:
-            found, k = LexGame(fields, n, _TABLE_BITS).elements(variety)
-        except TooLarge:
-            stats.variety_points = stats.products_vanished = 0
-            return None
+        found, k = LexGame(fields, n, _TABLE_BITS, held=size).elements(variety)
     return sorted(found + _point_seeds(fields[k:], n, stats), reverse=True)
 
 
@@ -591,7 +585,8 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
 
     The zero ideal's basis is empty. The standard monomial count is over
     squarefree monomials in all ambient variables, so it equals the size of
-    the variety in the Boolean quotient.
+    the variety in the Boolean quotient. An ideal with points on every block
+    is built from its variety and raises TooLarge past _TABLE_BITS.
     """
     blocks, n = B.order.blocks, B.n
     v = len(blocks) * n
@@ -603,14 +598,12 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     points = {field_shift(b, n, blocks): pts for b, pts in B.points}
     gens = [engine(g) for g in B.generators]
     products = [[engine(f) for f in factors] for factors in B.products]
-    reduced = None
     if len(points) == len(blocks):
         reduced = _variety_basis(gens, products, points, n, stats)
-    if reduced is None:
+        stats.max_active = len(reduced)
+    else:
         seeds = _point_seeds(points.items(), n, stats)
         reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
-    else:
-        stats.max_active = len(reduced)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats

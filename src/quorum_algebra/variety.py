@@ -25,8 +25,11 @@ from .algebra import bit_positions, repeat_bits, zeta_steps
 _BATCH_BITS = 1 << 18
 
 
-class TooLarge(Exception):
-    """A LexGame's tables passed its budget."""
+class TooLarge(ValueError):
+    """The variety route would hold more bits than its table budget."""
+
+    def __init__(self, what: str, bits: int, budget: float):
+        super().__init__(f"{what} would hold {bits} bits, over the table budget of {budget} bits")
 
 
 def _standard(points: int, size: int) -> int:
@@ -63,10 +66,12 @@ class LexGame:
     counts their bits toward its budget.
     """
 
-    def __init__(self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf):
+    def __init__(
+        self, fields: list[tuple[int, list[int]]], n: int, budget: float = math.inf, held: int = 0
+    ):
         """fields: shift and ascending n-bit points of each block, top first.
-        budget: the bits the tables a game keeps may hold in all; past it
-        basis raises TooLarge."""
+        budget: the bits the tables a game keeps may hold in all, with the
+        held bits its caller keeps; past it basis raises TooLarge."""
         self.n = n
         self.shifts = [shift for shift, _ in fields]
         self.pts = [pts for _, pts in fields]
@@ -77,7 +82,7 @@ class LexGame:
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
         self.budget = budget
-        self.bits = 0  # of the element tables, leaves, spreads and masks kept
+        self.bits = held  # and those of the element tables, leaves, spreads and masks kept
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.spreads: dict[tuple[int, int], int] = {}  # (b, points of W_b-1) -> spread(points, b)
         self.zetas: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (v, unit) -> zeta_steps(v, unit)
@@ -182,7 +187,7 @@ class LexGame:
         """Count bits more of tables kept; past the budget raise TooLarge."""
         self.bits += bits
         if self.bits > self.budget:
-            raise TooLarge(self.bits)
+            raise TooLarge("the lex game's tables and V0", self.bits, self.budget)
 
     def lift(self, b: int, basis: dict[int, int]) -> dict[int, int]:
         """Level b's basis as a basis of level b-1 on W_b-1 = S_b x W_b.

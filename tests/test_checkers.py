@@ -38,6 +38,7 @@ from quorum_algebra.encoding import (
 )
 from quorum_algebra.groebner import IdealBasis, buchberger, variety_enumerate
 from quorum_algebra.oracle import oracle_q3, oracle_q4
+from quorum_algebra.variety import TooLarge
 
 PINNED_BASES = Path(__file__).parent / "golden" / "threshold_bases.json"
 
@@ -207,10 +208,10 @@ def test_variety_route_matches_the_pair_loop(drawn):
 
 
 # in each case below V is not V0, so the lex game runs
-@pytest.mark.parametrize("limit", ["_V0_LIMIT", "_TABLE_BITS"])
-def test_large_ideals_fall_back_to_the_pair_loop(monkeypatch, limit):
-    """Over _V0_LIMIT points of V0, or past _TABLE_BITS bits of the lex
-    game's tables, the pair loop builds the same basis."""
+def test_threshold_certificates_match_the_pair_loop():
+    """At n = 4 and 5 each checker's certificate equals the pair loop's on
+    its ideal written as characteristic polynomials, which folds the
+    products and pairs availability's flipped relation."""
     cases = [("q4", threshold_system(4, 1, "classical")), ("q3", threshold_system(4, 2, "classical")),
              ("availability", threshold_system(5, 1, "classical")),
              ("masking", threshold_system(4, 1, "classical")),
@@ -220,25 +221,21 @@ def test_large_ideals_fall_back_to_the_pair_loop(monkeypatch, limit):
         systems = {"quorums": quorums, "fail_prone": fail_prone}
         B, cert = _recorded_ideal(name, systems)
         assert cert.stats.variety_points > 0 and cert.stats.pairs_queued == 0
-        with monkeypatch.context() as m:
-            m.setattr(groebner, limit, 8)  # V0 has more points, the tables more bits
-            fallback = buchberger(B)
-        assert fallback == cert and fallback.stats.variety_points == 0
-        # the products are folded; availability's flipped relation is paired
-        assert fallback.stats.products_folded == len(B.products)
-        assert B.products or fallback.stats.pairs_queued > 0
-    # the overlap product is zero on V0 and the other one cuts V; after the
-    # fallback the counters are the pair loop's, which folds both
+        reference = buchberger(_without_points(name, systems, B))
+        assert reference == cert and reference.stats.variety_points == 0
+        assert reference.stats.products_folded == len(B.products)
+        assert B.products or reference.stats.pairs_queued > 0
+    # the overlap product is zero on V0 and the other one cuts V; the pair
+    # loop, given the blocks as characteristic polynomials, folds both
     pts = frozenset(_field_mask(m) for m in TWO_SUBSETS)
     products = (overlap_poly(3, "x", "y"), (parse_polynomial("x1*y1 + x1", 3),))
-    B = IdealBasis((), BlockLexOrder(("x", "y")), 3, products, (("x", pts), ("y", pts)))
-    cert = buchberger(B)
+    order = BlockLexOrder(("x", "y"))
+    cert = buchberger(IdealBasis((), order, 3, products, (("x", pts), ("y", pts))))
     assert (cert.stats.products_vanished, cert.stats.variety_points) == (1, 7)
-    with monkeypatch.context() as m:
-        m.setattr(groebner, limit, 8)
-        fallback = buchberger(B)
-    assert fallback == cert
-    stats = fallback.stats
+    chars = tuple(system_char_poly(TWO_SUBSETS, b) for b in ("x", "y"))
+    reference = buchberger(IdealBasis(chars, order, 3, products))
+    assert reference == cert
+    stats = reference.stats
     assert (stats.products_vanished, stats.variety_points, stats.products_folded) == (0, 0, 2)
 
 
@@ -246,25 +243,32 @@ def test_lex_game_memory_stays_near_its_table_budget(monkeypatch):
     """Past _TABLE_BITS the lex game stops before it holds much more. On
     the n=10, f=3 all-sizes systems availability's game holds 18 MB of
     tables (22 MB traced) when it runs to the end; with a 256 KB budget it
-    hands the ideal to the pair loop, stubbed here, having held far less."""
+    raises TooLarge, a ValueError, having held far less."""
     quorums, fail_prone = threshold_system(10, 3, "classical", all_sizes=True)
-
-    class Handed(Exception):
-        pass
-
-    def pair_loop(*args):
-        raise Handed
-
     monkeypatch.setattr(groebner, "_TABLE_BITS", 1 << 21)
-    monkeypatch.setattr(groebner, "_pair_loop", pair_loop)
     tracemalloc.start()
     try:
-        with pytest.raises(Handed):
+        with pytest.raises(ValueError, match="lex game") as raised:
             check_availability(quorums, fail_prone)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert isinstance(raised.value, TooLarge)
     assert peak < 3 << 20
+
+
+def test_v0_over_the_table_budget_raises_before_evaluating(monkeypatch):
+    """A V0 whose bitset alone passes _TABLE_BITS raises TooLarge before
+    any generator or product is evaluated on it."""
+    quorums, fail_prone = threshold_system(4, 1, "classical")
+
+    def evaluate(*args):
+        raise AssertionError("V0 evaluated")
+
+    monkeypatch.setattr(groebner, "_TABLE_BITS", 8)  # V0 has 4^4 tuples
+    monkeypatch.setattr(groebner, "evaluate", evaluate)
+    with pytest.raises(TooLarge, match="V0, .* would hold 256 bits, over the table budget of 8 bits"):
+        check_q4(fail_prone)
 
 
 def test_availability_holds():

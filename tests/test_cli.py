@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quorum_algebra import cli
+from quorum_algebra import cli, groebner
 from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
 from quorum_algebra.groebner import GroebnerStats
@@ -250,6 +250,21 @@ def test_check_json_like_stats(tmp_path, capsys):
     doc = json.loads(run(["check", "consistency", "--input", path, "--format", "json-like"], capsys)[1])
     stats = doc["algebraic"]["stats"]
     assert (stats["products_vanished"], stats["products_folded"]) == (1, 0)
+
+
+def test_check_over_the_table_budget_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """A checker ideal whose variety route passes its table budget exits 2
+    with empty stdout and one error line naming the budget; the oracle
+    alone still decides the same file."""
+    path = str(tmp_path / "avail.json")
+    argv = ["gen-threshold", "--n", "10", "--f", "3", "--kind", "classical", "--all-sizes", "--out", path]
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(groebner, "_TABLE_BITS", 1 << 21)
+    code, out, err = run(["check", "availability", "--input", path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the table budget of 2097152 bits" in err
+    assert run(["check", "availability", "--input", path, "--method", "oracle"], capsys)[0] == 0
 
 
 def wrap_cli(monkeypatch, prefix, after):

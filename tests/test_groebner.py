@@ -22,7 +22,6 @@ from quorum_algebra.algebra import (
     move_fields,
     parse_polynomial,
 )
-from quorum_algebra import groebner
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
@@ -632,23 +631,17 @@ def test_idealbasis_validates_points():
     IdealBasis((p("x1*y1"), p("y2"), p("x1 + x2")), XY, 3, points=(("x", pts),))
 
 
-@pytest.mark.parametrize("route", ["variety", "pair loop", "fallback"])
-def test_one_block_generators_on_blocks_given_by_points(monkeypatch, route):
+@pytest.mark.parametrize("route", ["variety", "pair loop"])
+def test_one_block_generators_on_blocks_given_by_points(route):
     """A generator in the variables of one block given by points is
     evaluated on V0 when every block has points, and is paired with the
-    point bases by the pair loop otherwise or when V0 is too large."""
-    if route == "fallback":
-        monkeypatch.setattr(groebner, "_V0_LIMIT", 0)
+    point bases by the pair loop otherwise."""
     rng = seeded(29)
     for _ in range(60):
         blocks = tuple(rng.sample(("x", "y", "z"), rng.randint(2, 3)))
         n = rng.randint(1, 3)
         given = blocks[:-1] if route == "pair loop" else blocks
-        # an empty point set decides the ideal before V0 is measured
-        fewest = 1 if route == "fallback" else 0
-        points = tuple(
-            (b, frozenset(rng.sample(range(1 << n), rng.randint(fewest, 1 << n)))) for b in given
-        )
+        points = tuple((b, frozenset(rng.sample(range(1 << n), rng.randint(0, 1 << n)))) for b in given)
         gens = [g for b in given for g in rand_generators(n, (b,), rng, max_gens=2, max_terms=3)]
         gens += rand_generators(n, blocks, rng, max_gens=2, max_terms=3)[: rng.randint(0, 2)]
         products = tuple(
