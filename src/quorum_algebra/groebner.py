@@ -43,35 +43,15 @@ leading monomial LM(h) divides is retired: it gets no new pairs and no
 longer reduces, but its pending pairs are still reduced. GroebnerStats
 counts what a run did.
 
-A block given by its points is the ideal of that point set, I(P), and its
-reduced basis is built from the points without a pair loop
-(variety.LexGame), once per distinct point set, and shifted onto every
-block that carries it. These bases seed the pair loop, which adds the
-generators and the products as usual. The leading monomials of different
-blocks are coprime, so by the coprime criterion the pairs across blocks
-reduce to zero and the union of the block bases is a Boolean Groebner basis
-of their sum; the seeds therefore get no pairs with each other and no field
-pairs.
-
-When every block is given by its points, as in every checker's ideal, the
-ideal is I(V0) + <generators, products>, V0 the product of the block point
-sets. A Boolean ideal is radical, so this is I(V) for V the points of V0
-where every generator and product is zero. variety.evaluate finds V from
-the Kronecker structure of V0, variety.shrink cuts each block's points to
-those V uses, and variety.LexGame builds the reduced basis of I(V) one
-block at a time, with no pair loop, no fold and no inter-reduction, down
-to the first block k where V's projection onto the blocks from k on is the
-product of their point sets; their block bases are the rest (k = 0 when V
-is V0). V0's bitset and the game's tables share one budget, _TABLE_BITS
-bits; past it the route raises variety.TooLarge, a ValueError, and never
-hands the ideal to the pair loop. The pair loop runs the ideals with a block
-not given by points, as qa groebner's.
+The points pick the route. An ideal with points on every block, as every
+checker's, is built from its variety by variety.reduced_basis, with no pair
+loop, or refused with variety.TooLarge past that route's budget. The pair
+loop runs the ideals without points, as qa groebner's.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -87,10 +67,7 @@ from .algebra import (
     gf2_zeta,
     move_fields,
 )
-from .variety import LexGame, TooLarge, evaluate, shrink
-
-# The bits (256 MiB) that V0's bitset and the lex game's tables may hold in all.
-_TABLE_BITS = 1 << 31
+from .variety import reduced_basis
 
 
 def _spoly(f: Sequence[int], g: Sequence[int]) -> set[int]:
@@ -208,6 +185,8 @@ class IdealBasis:
     field's top bit (as encoding._field_mask gives): the ideal then also
     holds I(points) on that block, the polynomials in that block's variables
     vanishing at every listed point. An empty set puts 1 in the ideal.
+    Points go on every block of the order or on none: buchberger builds the
+    first kind from its variety and runs the pair loop on the second.
     """
 
     generators: tuple[Polynomial, ...]
@@ -234,6 +213,9 @@ class IdealBasis:
                 raise ValueError(f"points on block {b!r} outside {self.order.blocks}")
             if any(m < 0 or m >> self.n for m in masks):
                 raise ValueError(f"points on block {b!r} must be masks of {self.n} bits")
+        missing = [b for b in self.order.blocks if b not in blocks]
+        if blocks and missing:
+            raise ValueError(f"points must be on every block or on none; no points on {missing}")
 
     def _check(self, g: Polynomial, what: str) -> None:
         if not isinstance(g, Polynomial):
@@ -361,77 +343,18 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
     return Polynomial(f.n, out)
 
 
-def _point_seeds(
-    fields: Iterable[tuple[int, Collection[int]]], n: int, stats: GroebnerStats
-) -> list[tuple[int, ...]]:
-    """The bases of blocks given by points (shift, point set), shifted onto
-    their fields, each distinct point set built once."""
-    built: dict[int, list[tuple[int, ...]]] = {}  # point set, as a bitset -> its basis
-    seeds: list[tuple[int, ...]] = []
-    for shift, pts in fields:
-        key = sum(1 << p for p in pts)
-        basis = built.get(key)
-        if basis is None:
-            stats.blocks_solved += 1
-            basis = built[key] = _point_basis(key, n)
-        else:
-            stats.blocks_reused += 1
-        seeds.extend(tuple(t << shift for t in g) for g in basis)
-    return seeds
-
-
-def _point_basis(points: int, n: int) -> list[tuple[int, ...]]:
-    """The reduced basis of I(P), P a bitset over the n-bit masks, as n-bit masks."""
-    elements = LexGame([(0, bit_positions(points))], n).basis(0, n, points).values()
-    return [tuple(bit_positions(g)[::-1]) for g in elements]
-
-
-def _variety_basis(
-    gens: list[tuple[int, ...]],
-    products: list[list[tuple[int, ...]]],
-    points: dict[int, frozenset[int]],
-    n: int,
-    stats: GroebnerStats,
-) -> list[tuple[int, ...]]:
-    """The reduced basis of a sum of point ideals on every block, generators
-    and products, from its variety V. The game gives the elements that lead
-    with a block above k, and the point bases of blocks k and below, whose
-    variables they alone use, give the rest; k is 0 when V is V0. Raises
-    TooLarge, before evaluating anything, when V0's bitset passes
-    _TABLE_BITS, and when it and the game's tables pass it together."""
-    fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
-    size = math.prod(len(pts) for _, pts in fields)
-    if size > _TABLE_BITS:
-        raise TooLarge("V0, the product of the block point sets,", size, _TABLE_BITS)
-    variety, stats.products_vanished = evaluate(gens, products, fields, n)
-    stats.variety_points = variety.bit_count()
-    if not variety:
-        return [(0,)]
-    found, k = [], 0
-    if variety != (1 << size) - 1:  # else I(V) = I(V0), with no game to play
-        # V lies in the product of its projections too, whose tables are smaller
-        variety, fields = shrink(variety, fields)
-        found, k = LexGame(fields, n, _TABLE_BITS, held=size).elements(variety)
-    return sorted(found + _point_seeds(fields[k:], n, stats), reverse=True)
-
-
 def _pair_loop(
     gens: list[tuple[int, ...]],
     products: list[list[tuple[int, ...]]],
-    seeds: list[tuple[int, ...]],
     v: int,
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]]:
     """Buchberger's pair loop over v-bit masks; returns the active elements
-    left when the pairs run out. seeds must be a Boolean Groebner basis:
-    they are installed without pairs or field pairs."""
-    basis: list[tuple[int, ...]] = list(seeds)
-    lms: list[int] = [p[0] for p in seeds]
-    active: list[int] = list(range(len(seeds)))
+    left when the pairs run out."""
+    basis: list[tuple[int, ...]] = []
+    lms: list[int] = []
+    active: list[int] = []
     divisors = _Divisors(v)
-    for idx, lm in enumerate(lms):
-        divisors.add(idx, lm)
-    stats.max_active = max(stats.max_active, len(active))
     # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
     # with basis[j], j < 0 is the field pair of basis[i] and the variable
     # whose mask is -j; its ordinary-ring lcm is LM_i with that variable
@@ -585,8 +508,8 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
 
     The zero ideal's basis is empty. The standard monomial count is over
     squarefree monomials in all ambient variables, so it equals the size of
-    the variety in the Boolean quotient. An ideal with points on every block
-    is built from its variety and raises TooLarge past _TABLE_BITS.
+    the variety in the Boolean quotient. An ideal with points is built from
+    its variety and raises variety.TooLarge past that route's budget.
     """
     blocks, n = B.order.blocks, B.n
     v = len(blocks) * n
@@ -595,15 +518,14 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     def engine(g: Polynomial) -> tuple[int, ...]:
         return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
 
-    points = {field_shift(b, n, blocks): pts for b, pts in B.points}
     gens = [engine(g) for g in B.generators]
     products = [[engine(f) for f in factors] for factors in B.products]
-    if len(points) == len(blocks):
-        reduced = _variety_basis(gens, products, points, n, stats)
+    if B.points:
+        points = {field_shift(b, n, blocks): pts for b, pts in B.points}
+        reduced = reduced_basis(gens, products, points, n, stats)
         stats.max_active = len(reduced)
     else:
-        seeds = _point_seeds(points.items(), n, stats)
-        reduced = _reduce_basis(_pair_loop(gens, products, seeds, v, stats), v)
+        reduced = _reduce_basis(_pair_loop(gens, products, v, stats), v)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats

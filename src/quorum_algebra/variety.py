@@ -1,16 +1,29 @@
-"""Reduced lex bases of Boolean point ideals, built from the points.
+"""The variety route: reduced lex bases of Boolean point ideals, built from the points.
 
 A point set P of the cube {0,1}^v has the vanishing ideal I(P), and its
-reduced basis under lex follows from P alone, with no pair loop. Point sets,
-value tables and polynomials here are bitsets over the masks of a block's
-cube, each mask owning a run of unit bits indexed by the points w of the
-blocks below (unit = 1 for a single block): bit m * unit + w of a point set
-is the point (m, w), of a value table the value there, and of a polynomial
-the value at w of the coefficient of monomial m, a function of the lower
-blocks (LexGame). Splitting such a bitset at half = unit * 2^(j-1) splits on
-the top variable x: the low half has x = 0 (or no x), the high half x = 1, x
-dropped. The standard monomials of I(P) under lex follow the same split, the
-lex game (Cerlienco and Mureddu, Discrete Math. 139, 1995):
+reduced basis under lex follows from P alone, with no pair loop.
+
+reduced_basis takes an ideal with points on every block: I(V0) + <generators,
+products>, V0 the product of the block point sets. A Boolean ideal is
+radical, so this is I(V), V the tuples of V0 where every generator and
+product is zero. evaluate finds V from the Kronecker structure of V0, shrink
+cuts each block's points to those V uses, and LexGame builds the reduced
+basis of I(V) one block at a time, with no pair loop, no fold and no
+inter-reduction, down to the first block k where V's projection onto the
+blocks from k on is the product of their point sets. The point bases of
+those blocks, each distinct point set solved once, are the rest (k = 0 when
+V is V0). V0's bitset and the game's tables share one budget, _TABLE_BITS
+bits; past it the route raises TooLarge, a ValueError.
+
+Point sets, value tables and polynomials here are bitsets over the masks of
+a block's cube, each mask owning a run of unit bits indexed by the points w
+of the blocks below (unit = 1 for a single block): bit m * unit + w of a
+point set is the point (m, w), of a value table the value there, and of a
+polynomial the value at w of the coefficient of monomial m, a function of
+the lower blocks (LexGame). Splitting such a bitset at half = unit * 2^(j-1)
+splits on the top variable x: the low half has x = 0 (or no x), the high
+half x = 1, x dropped. The standard monomials of I(P) under lex follow the
+same split, the lex game (Cerlienco and Mureddu, Discrete Math. 139, 1995):
 std(P) = std(P0 | P1) + x * std(P0 & P1). The basis and the interpolating
 polynomials follow it too (Marinari, Moeller and Mora, AAECC 4, 1993).
 """
@@ -18,11 +31,14 @@ polynomials follow it too (Marinari, Moeller and Mora, AAECC 4, 1993).
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 from .algebra import bit_positions, repeat_bits, zeta_steps
 
 # A level's tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
+# The bits (256 MiB) that V0's bitset and the lex game's tables may hold in all.
+_TABLE_BITS = 1 << 31
 
 
 class TooLarge(ValueError):
@@ -404,3 +420,44 @@ def shrink(variety: int, fields: list[tuple[int, list[int]]]) -> tuple[int, list
         bits = "".join(runs[c] for c in used)
         kept.append((shift, [pts[c] for c in used]))
     return int(bits[::-1], 2), kept[::-1]
+
+
+def reduced_basis(
+    gens: list[tuple[int, ...]],
+    products: list[list[tuple[int, ...]]],
+    points: dict[int, frozenset[int]],
+    n: int,
+    stats: SimpleNamespace,
+) -> list[tuple[int, ...]]:
+    """The reduced basis of a sum of point ideals on every block (shift ->
+    points), generators and products, as engine masks, descending. The game
+    gives the elements that lead with a block above k, and the point bases
+    of blocks k and below, whose variables they alone use, give the rest.
+    Raises TooLarge, before evaluating anything, when V0's bitset passes
+    _TABLE_BITS, and when it and the game's tables pass it together. Sets
+    stats' products_vanished, variety_points and block counts."""
+    fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
+    size = math.prod(len(pts) for _, pts in fields)
+    if size > _TABLE_BITS:
+        raise TooLarge("V0, the product of the block point sets,", size, _TABLE_BITS)
+    variety, stats.products_vanished = evaluate(gens, products, fields, n)
+    stats.variety_points = variety.bit_count()
+    if not variety:
+        return [(0,)]
+    found, k = [], 0
+    if variety != (1 << size) - 1:  # else I(V) = I(V0), with no game to play
+        # V lies in the product of its projections too, whose tables are smaller
+        variety, fields = shrink(variety, fields)
+        found, k = LexGame(fields, n, _TABLE_BITS, held=size).elements(variety)
+    built: dict[int, list[tuple[int, ...]]] = {}  # point set, as a bitset -> its basis
+    for shift, pts in fields[k:]:
+        key = sum(1 << p for p in pts)
+        basis = built.get(key)
+        if basis is None:
+            stats.blocks_solved += 1
+            elements = LexGame([(0, pts)], n).basis(0, n, key).values()
+            basis = built[key] = [tuple(bit_positions(g)[::-1]) for g in elements]
+        else:
+            stats.blocks_reused += 1
+        found.extend(tuple(t << shift for t in g) for g in basis)
+    return sorted(found, reverse=True)

@@ -27,7 +27,7 @@ from quorum_algebra.checkers import (
     threshold_system,
 )
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, format_polynomial, parse_polynomial
-from quorum_algebra import groebner
+from quorum_algebra import variety
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
@@ -245,7 +245,7 @@ def test_lex_game_memory_stays_near_its_table_budget(monkeypatch):
     tables (22 MB traced) when it runs to the end; with a 256 KB budget it
     raises TooLarge, a ValueError, having held far less."""
     quorums, fail_prone = threshold_system(10, 3, "classical", all_sizes=True)
-    monkeypatch.setattr(groebner, "_TABLE_BITS", 1 << 21)
+    monkeypatch.setattr(variety, "_TABLE_BITS", 1 << 21)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="lex game") as raised:
@@ -265,8 +265,8 @@ def test_v0_over_the_table_budget_raises_before_evaluating(monkeypatch):
     def evaluate(*args):
         raise AssertionError("V0 evaluated")
 
-    monkeypatch.setattr(groebner, "_TABLE_BITS", 8)  # V0 has 4^4 tuples
-    monkeypatch.setattr(groebner, "evaluate", evaluate)
+    monkeypatch.setattr(variety, "_TABLE_BITS", 8)  # V0 has 4^4 tuples
+    monkeypatch.setattr(variety, "evaluate", evaluate)
     with pytest.raises(TooLarge, match="V0, .* would hold 256 bits, over the table budget of 8 bits"):
         check_q4(fail_prone)
 

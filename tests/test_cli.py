@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quorum_algebra import cli, groebner
+from quorum_algebra import cli, variety
 from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
 from quorum_algebra.groebner import GroebnerStats
@@ -259,7 +259,7 @@ def test_check_over_the_table_budget_is_an_input_error(tmp_path, capsys, monkeyp
     path = str(tmp_path / "avail.json")
     argv = ["gen-threshold", "--n", "10", "--f", "3", "--kind", "classical", "--all-sizes", "--out", path]
     assert run(argv, capsys)[0] == 0
-    monkeypatch.setattr(groebner, "_TABLE_BITS", 1 << 21)
+    monkeypatch.setattr(variety, "_TABLE_BITS", 1 << 21)
     code, out, err = run(["check", "availability", "--input", path], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -373,14 +373,17 @@ point_systems = st.integers(1, 6).flatmap(
 
 
 def _assert_points_match_char_poly(system, block):
-    """The basis built from the points equals Buchberger's on the char poly."""
+    """The basis built from the points, with the whole cube on the other
+    block, equals Buchberger's on the char poly alone."""
     n = system.n
-    by_points = IdealBasis((), XY, n, points=((block, _points(system)),))
+    cube = frozenset(range(1 << n))
+    points = tuple((b, _points(system) if b == block else cube) for b in XY.blocks)
+    by_points = IdealBasis((), XY, n, points=points)
     char = system_char_poly(system, block)
     by_poly = IdealBasis(() if char.is_zero else (char,), XY, n)
     cert = _checked(by_points)
     assert cert == buchberger(by_poly)
-    assert (cert.stats.blocks_solved, cert.stats.pairs_queued) == (1, 0)
+    assert (cert.stats.variety_points, cert.stats.pairs_queued) == (len(system) << n, 0)
     return cert
 
 
@@ -427,9 +430,9 @@ def test_products_vanishing_on_the_points_are_not_folded():
     assert counts(run(SetSystem.from_lists(3, [[1], [2]]))) == (0, 0, 0, 2)
     # a generator is evaluated on V0 too; it cuts the pairs ({1,2} or {1,3}, {1,2})
     assert counts(run(meeting, generators=(p("x1*y1*y2"),))) == (1, 0, 0, 7)
-    # a block without points leaves the product to the pair loop
-    stats = run(meeting, points=(("x", _points(meeting)),))
-    assert (stats.products_vanished, stats.products_folded, stats.variety_points) == (0, 1, 0)
+    # a block without points is refused: points go on every block or on none
+    with pytest.raises(ValueError, match=r"no points on \['y'\]"):
+        run(meeting, points=(("x", _points(meeting)),))
     # no point at all: every product vanishes, and the ideal is <1>
     stats = run(meeting, points=(("x", set()), ("y", _points(meeting))))
     assert counts(stats) == (1, 0, 0, 0)
@@ -627,32 +630,43 @@ def test_idealbasis_validates_points():
         IdealBasis((), X, 3, points=(("x", {0b1000}),))
     with pytest.raises(ValueError, match="masks of 3 bits"):
         IdealBasis((), X, 3, points=(("x", {-1}),))
+    with pytest.raises(ValueError, match=r"every block or on none; no points on \['y'\]"):
+        IdealBasis((), XY, 3, points=(("x", pts),))
     # any generator may go with points, even one in x's variables alone
-    IdealBasis((p("x1*y1"), p("y2"), p("x1 + x2")), XY, 3, points=(("x", pts),))
+    IdealBasis((p("x1*y1"), p("y2"), p("x1 + x2")), XY, 3, points=(("x", pts), ("y", pts)))
 
 
 @pytest.mark.parametrize("route", ["variety", "pair loop"])
 def test_one_block_generators_on_blocks_given_by_points(route):
     """A generator in the variables of one block given by points is
-    evaluated on V0 when every block has points, and is paired with the
-    point bases by the pair loop otherwise."""
+    evaluated on V0 by the variety route. The pair loop, given every block
+    as its system_char_poly instead, pairs it with those and builds the same
+    certificate."""
     rng = seeded(29)
     for _ in range(60):
         blocks = tuple(rng.sample(("x", "y", "z"), rng.randint(2, 3)))
         n = rng.randint(1, 3)
-        given = blocks[:-1] if route == "pair loop" else blocks
-        points = tuple((b, frozenset(rng.sample(range(1 << n), rng.randint(0, 1 << n)))) for b in given)
-        gens = [g for b in given for g in rand_generators(n, (b,), rng, max_gens=2, max_terms=3)]
+        systems = {}
+        for b in blocks:
+            masks = sorted(rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            systems[b] = SetSystem(n, (ProcessSubset(m, n) for m in masks))
+        points = tuple((b, _points(system)) for b, system in systems.items())
+        gens = [g for b in blocks for g in rand_generators(n, (b,), rng, max_gens=2, max_terms=3)]
         gens += rand_generators(n, blocks, rng, max_gens=2, max_terms=3)[: rng.randint(0, 2)]
         products = tuple(
             tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 2)))
             for _ in range(rng.randint(0, 1))
         )
         B = IdealBasis(tuple(gens), BlockLexOrder(blocks), n, products, points)
-        stats = _checked(B).stats
+        cert = _checked(B)
         if route == "variety":
-            assert stats.pairs_queued == stats.products_folded == 0
+            assert cert.stats.pairs_queued == cert.stats.products_folded == 0
         else:
+            chars = [system_char_poly(system, b) for b, system in systems.items()]
+            gens += [c for c in chars if not c.is_zero]
+            reference = buchberger(IdealBasis(tuple(gens), B.order, n, products))
+            assert reference == cert
+            stats = reference.stats
             assert stats.variety_points == stats.products_vanished == 0
             assert stats.products_folded == len(products)
 
