@@ -28,9 +28,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cache, total_ordering
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 BLOCKS = ("x", "y", "z", "t")
 
@@ -89,18 +89,59 @@ def _field_masks(n: int) -> tuple[tuple[str, int], ...]:
     return tuple((b, ((1 << n) - 1) << field_shift(b, n)) for b in BLOCKS)
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Record:
+    """Base of the package's value classes. Their fields are the names their
+    class body annotates, which they compare, hash and show in that order;
+    each __init__ checks them and stores them with self.__dict__.update, as
+    pickling and copying do, since assignment raises. Not frozen dataclasses:
+    `import dataclasses` and the code it generates per class would cost
+    every start of `qa` about 15 ms.
+    """
+
+    _fields: tuple[str, ...]
+    _key: Callable[[Record], object]  # the fields' values; the value itself for one field
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Variable(Record):
     """A single variable, identified by block letter and 1-based index."""
 
     block: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.block not in BLOCKS:
-            raise ValueError(f"unknown block {self.block!r}, expected one of {BLOCKS}")
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+    def __init__(self, block: str, index: int) -> None:
+        if block not in BLOCKS:
+            raise ValueError(f"unknown block {block!r}, expected one of {BLOCKS}")
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        self.__dict__.update(block=block, index=index)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) < other._key(other)
 
     def mask(self, n: int) -> int:
         """The one-variable monomial over ambient dimension n."""
@@ -127,8 +168,7 @@ def monomial_text(m: int, n: int) -> str:
     return "*".join(names)
 
 
-@dataclass(frozen=True)
-class BlockLexOrder:
+class BlockLexOrder(Record):
     """Block lexicographic order given by a block sequence, most significant first.
 
     Within each block, x1 is more significant than x2 and so on. Eliminating
@@ -138,14 +178,15 @@ class BlockLexOrder:
 
     blocks: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    def __init__(self, blocks: tuple[str, ...]) -> None:
+        if not blocks:
             raise ValueError("order needs at least one block")
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ValueError(f"duplicate blocks in {self.blocks}")
-        for b in self.blocks:
+        if len(set(blocks)) != len(blocks):
+            raise ValueError(f"duplicate blocks in {blocks}")
+        for b in blocks:
             if b not in BLOCKS:
                 raise ValueError(f"unknown block {b!r}")
+        self.__dict__.update(blocks=blocks)
 
     def variables(self, n: int) -> list[Variable]:
         """All ambient variables, most significant first."""

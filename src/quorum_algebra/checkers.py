@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .algebra import BlockLexOrder, Polynomial
+from .algebra import BlockLexOrder, Polynomial, Record
 from .encoding import (
     ProcessSubset,
     SetSystem,
@@ -45,8 +44,7 @@ class ThresholdError(ValueError):
     """Raised when no threshold system exists for the requested parameters."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     property: str
     holds: bool
     expected_count: int
@@ -54,14 +52,20 @@ class Verdict:
     certificate: GroebnerCertificate
     method: str
 
+    def __init__(
+        self, property: str, holds: bool, expected_count: int, observed_count: int | None,
+        certificate: GroebnerCertificate, method: str,
+    ) -> None:
+        self.__dict__.update(property=property, holds=holds, expected_count=expected_count,
+                             observed_count=observed_count, certificate=certificate, method=method)
+
     def counts_str(self) -> str:
         if self.observed_count is None:
             return f"basis {'=' if self.holds else '!='} {{1}}"
         return f"{self.observed_count} {'=' if self.holds else '!='} {self.expected_count}"
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(Record):
     """The ideal that decides one property.
 
     reads: the input systems, in argument order. order: the blocks, most
@@ -81,8 +85,16 @@ class Property:
     order: tuple[str, ...]
     encodes: tuple[tuple[str, str], ...]
     relation: Callable[[int], tuple[Polynomial, ...]]
-    flip: bool = False
-    count: tuple[str, ...] | None = None
+    flip: bool
+    count: tuple[str, ...] | None
+
+    def __init__(
+        self, label: str, reads: tuple[str, ...], order: tuple[str, ...],
+        encodes: tuple[tuple[str, str], ...], relation: Callable[[int], tuple[Polynomial, ...]],
+        flip: bool = False, count: tuple[str, ...] | None = None,
+    ) -> None:
+        self.__dict__.update(label=label, reads=reads, order=order, encodes=encodes,
+                             relation=relation, flip=flip, count=count)
 
 
 # The relations look up the encoding builders when a check runs, so

@@ -37,25 +37,24 @@ far; bool_product(...) gives the expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import Polynomial, bit_positions, field_shift, gf2_zeta
+from .algebra import Polynomial, Record, bit_positions, field_shift, gf2_zeta
 
 
-@dataclass(frozen=True)
-class ProcessSubset:
+class ProcessSubset(Record):
     """Subset of {P1..Pn} stored as a bitmask; bit i-1 is process Pi."""
 
     mask: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"process count must be >= 1, got {self.n}")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+    def __init__(self, mask: int, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"process count must be >= 1, got {n}")
+        if mask < 0 or mask >> n:
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        self.__dict__.update(mask=mask, n=n)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "ProcessSubset":
@@ -210,8 +209,7 @@ class SetSystem:
         return SetSystem(self._n, (m.complement() for m in self._members))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(Record):
     """Characteristic polynomial of a subset over one block, in factored form.
 
     The expanded polynomial is (prod of V_i over members) * (prod of 1 + V_i
@@ -223,6 +221,9 @@ class CharPoly:
 
     support: ProcessSubset
     block: str
+
+    def __init__(self, support: ProcessSubset, block: str) -> None:
+        self.__dict__.update(support=support, block=block)
 
     @property
     def n(self) -> int:

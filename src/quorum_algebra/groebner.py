@@ -52,7 +52,6 @@ loop runs the ideals without points, as qa groebner's.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
@@ -61,6 +60,7 @@ from .algebra import (
     BLOCKS,
     BlockLexOrder,
     Polynomial,
+    Record,
     Variable,
     bit_positions,
     field_shift,
@@ -172,8 +172,7 @@ def _normal_form(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IdealBasis:
+class IdealBasis(Record):
     """Generators plus the order and ambient they are to be read in.
 
     Each entry of products is a tuple of factors whose Boolean product is one
@@ -192,12 +191,16 @@ class IdealBasis:
     generators: tuple[Polynomial, ...]
     order: BlockLexOrder
     n: int
-    products: tuple[tuple[Polynomial, ...], ...] = ()
-    points: tuple[tuple[str, frozenset[int]], ...] = ()
+    products: tuple[tuple[Polynomial, ...], ...]
+    points: tuple[tuple[str, frozenset[int]], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "products", tuple(tuple(p) for p in self.products))
-        object.__setattr__(self, "points", tuple((b, frozenset(m)) for b, m in self.points))
+    def __init__(
+        self, generators: tuple[Polynomial, ...], order: BlockLexOrder, n: int,
+        products: Iterable[Iterable[Polynomial]] = (), points: Iterable[tuple[str, Iterable[int]]] = (),
+    ) -> None:
+        products = tuple(tuple(p) for p in products)
+        points = tuple((b, frozenset(m)) for b, m in points)
+        self.__dict__.update(generators=generators, order=order, n=n, products=products, points=points)
         for g in self.generators:
             self._check(g, "generator")
             if g.is_zero:
@@ -230,8 +233,10 @@ class GroebnerStats(SimpleNamespace):
     """What one Buchberger run did; the pairs queued are the pairs reduced
     plus those criterion B_k removed while pending.
 
-    A SimpleNamespace rather than a dataclass: every start of `qa` imports
-    this module, and building a dataclass costs about a millisecond.
+    A SimpleNamespace rather than a dataclass, for the reason the value
+    classes derive from algebra.Record: every start of `qa` builds this
+    class, and `import dataclasses` with the code it generates per class
+    would cost that start about 15 ms.
     """
 
     def __init__(self) -> None:
@@ -255,8 +260,7 @@ class GroebnerStats(SimpleNamespace):
         )
 
 
-@dataclass
-class GroebnerCertificate:
+class GroebnerCertificate(Record):
     """Reduced basis plus the standard monomial count over the full ambient;
     stats, which equality ignores, counts the work of the run behind them.
 
@@ -270,7 +274,24 @@ class GroebnerCertificate:
     order: BlockLexOrder
     n: int
     sm_count: int
-    stats: GroebnerStats = field(default_factory=GroebnerStats, compare=False)
+    stats: GroebnerStats
+
+    def __init__(
+        self, masks: tuple[tuple[int, ...], ...], order: BlockLexOrder, n: int, sm_count: int,
+        stats: GroebnerStats | None = None,
+    ) -> None:
+        stats = GroebnerStats() if stats is None else stats
+        self.__dict__.update(masks=masks, order=order, n=n, sm_count=sm_count, stats=stats)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self)[:-1] == other._key(other)[:-1]  # all but stats
+
+    # unlike the other records, a certificate is mutable, so unhashable
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:

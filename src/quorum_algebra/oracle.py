@@ -10,17 +10,19 @@ found, turned into frozensets of process indices only then.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .algebra import Record
 from .encoding import ProcessSubset, SetSystem
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     property: str
     holds: bool
-    witness: tuple[frozenset[int], ...] | None = None
+    witness: tuple[frozenset[int], ...] | None
+
+    def __init__(self, property: str, holds: bool, witness: tuple[frozenset[int], ...] | None = None) -> None:
+        self.__dict__.update(property=property, holds=holds, witness=witness)
 
     def witness_str(self) -> str:
         if self.witness is None:

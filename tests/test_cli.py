@@ -513,17 +513,30 @@ def test_parser_tree_is_built_once(tmp_path, capsys, monkeypatch):
     assert len(built) == 4
 
 
+def fresh_python(code):
+    """Stdout of code run by a new interpreter that imports this package."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_parser_is_not_built_at_import():
     code = (
         "import quorum_algebra.cli as cli; "
         "print(cli.build_parser.cache_info().currsize)"
     )
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "0\n"
+    assert fresh_python(code) == "0\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # against the modules loaded before the import, so site hooks do not count
+    code = (
+        "import sys; before = set(sys.modules); import quorum_algebra.cli; "
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules).difference(before)))"
+    )
+    assert fresh_python(code) == "\n"
 
 
 def help_text(argv, capsys):
