@@ -29,19 +29,17 @@ polynomials left out, so the zero ideal's reduced basis is empty.
 
 Pair selection is the normal strategy: minimal lcm degree, ties by the
 order on the lcm, then by insertion sequence, which makes runs
-reproducible. Pairs are installed Gebauer-Moeller style (J. Symb. Comput.
-6, 1988): the criteria act when an element h arrives, not when a pair is
-popped. The pairs of h with the active elements are grouped by lcm.
-Criterion M drops a group when the pair of h with some other element has
-an lcm strictly dividing the group's; criterion F keeps one pair of a
-group, and none when one of them is coprime, as the coprime criterion
-drops those. Criterion B_k drops a pending pair (i, j) when LM(h) divides
-its lcm and neither (i, h) nor (j, h) has the same lcm. A field pair (g, x)
-is the pair of g with x^2 + x, whose ordinary-ring lcm is LM(g) * x^2, one
-degree above LM(g), so the same criteria cover it. An active element whose
-leading monomial LM(h) divides is retired: it gets no new pairs and no
-longer reduces, but its pending pairs are still reduced. GroebnerStats
-counts what a run did.
+reproducible. The criteria act when an element h arrives, not when a pair
+is popped, as Gebauer and Moeller install them (J. Symb. Comput. 6, 1988).
+The pairs of h with the earlier elements are grouped by lcm. Criterion M
+drops a group when the pair of h with some other element has an lcm
+strictly dividing the group's; criterion F keeps one pair of a group, and
+none when one of them is coprime, as the coprime criterion drops those. A
+field pair (g, x) is the pair of g with x^2 + x, whose ordinary-ring lcm
+is LM(g) * x^2, one degree above LM(g), so the same criteria cover it.
+Every queued pair is reduced, and every element built stays a reducer
+until the pairs run out; the final inter-reduction drops the elements whose
+leading monomial another one divides. GroebnerStats counts what a run did.
 
 The points pick the route. An ideal with points on every block, as every
 checker's, is built from its variety by variety.reduced_basis, with no pair
@@ -97,17 +95,15 @@ class _Divisors:
     """Which elements' leading monomials divide a given monomial.
 
     Masks are cut into 4-bit chunks; rows[k][u] is the bitset of element
-    indices whose leading monomial, restricted to chunk k, is a subset of u,
-    and alive is the bitset of elements not removed. The elements whose
-    leading monomial divides m are alive AND, over the chunks, m's entries,
-    with no loop over the elements.
+    indices whose leading monomial, restricted to chunk k, is a subset of u.
+    The elements whose leading monomial divides m are the AND, over the
+    chunks, of m's entries, with no loop over the elements.
     """
 
-    __slots__ = ("rows", "alive")
+    __slots__ = ("rows",)
 
     def __init__(self, v: int):
         self.rows = [[0] * 16 for _ in range((v + 3) // 4)]
-        self.alive = 0
 
     def add(self, idx: int, lm: int) -> None:
         bit = 1 << idx
@@ -115,13 +111,9 @@ class _Divisors:
             for u in _SUPERSETS[lm & 15]:
                 row[u] |= bit
             lm >>= 4
-        self.alive |= bit
-
-    def remove(self, idx: int) -> None:
-        self.alive &= ~(1 << idx)
 
     def of(self, m: int) -> int:
-        found = self.alive
+        found = -1  # every element; v >= 1, so there is a row to cut it down
         for row in self.rows:
             found &= row[m & 15]
             m >>= 4
@@ -146,12 +138,11 @@ def _normal_form(
     pop = heapq.heappop
     push = heapq.heappush
     rows = divisors.rows
-    alive = divisors.alive
     while heap:
         m = -pop(heap)
         if m not in work:
             continue
-        found = alive  # divisors.of(m), inlined: this runs once per term
+        found = -1  # divisors.of(m), inlined: this runs once per term
         rest = m
         for row in rows:
             found &= row[rest & 15]
@@ -230,8 +221,8 @@ class IdealBasis(Record):
 
 
 class GroebnerStats(SimpleNamespace):
-    """What one Buchberger run did; the pairs queued are the pairs reduced
-    plus those criterion B_k removed while pending.
+    """What one Buchberger run did; every pair queued is reduced, so
+    pairs_queued is reductions_zero plus reductions_nonzero.
 
     A SimpleNamespace rather than a dataclass, for the reason the value
     classes derive from algebra.Record: every start of `qa` builds this
@@ -244,15 +235,12 @@ class GroebnerStats(SimpleNamespace):
             pairs_queued=0,
             dropped_coprime=0,
             dropped_mf=0,  # criteria M and F, when the pair is installed
-            dropped_bk=0,  # criterion B_k, while the pair is pending
             dropped_field=0,  # field pairs (g, x) with x dividing every term of g
             reductions_zero=0,
             reductions_nonzero=0,
             products_folded=0,
             products_vanished=0,  # products zero on every point of V0, never folded
             variety_points=0,  # |V|, when the basis is built from the variety V
-            retired=0,
-            max_active=0,
             # block bases the route reads: distinct point sets solved on their
             # own, and blocks given the basis of an equal point set
             blocks_solved=0,
@@ -370,11 +358,9 @@ def _pair_loop(
     v: int,
     stats: GroebnerStats,
 ) -> list[tuple[int, ...]]:
-    """Buchberger's pair loop over v-bit masks; returns the active elements
-    left when the pairs run out."""
+    """Buchberger's pair loop over v-bit masks; returns every element it
+    built, a Groebner basis once the pairs run out."""
     basis: list[tuple[int, ...]] = []
-    lms: list[int] = []
-    active: list[int] = []
     divisors = _Divisors(v)
     # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
     # with basis[j], j < 0 is the field pair of basis[i] and the variable
@@ -388,13 +374,6 @@ def _pair_loop(
         idx = len(basis)
         lm = p[0]
         pairs: list[tuple[int, int]] = []  # (lcm, i) for the pairs (i, idx) to queue
-        gone: list[int] = []  # active elements p retires
-        # Criterion B_k on the pending pairs.
-        kept = [e for e in heap if e[1] & lm != lm or not _chain_through(e, lm, lms)]
-        if len(kept) != len(heap):
-            stats.dropped_bk += len(heap) - len(kept)
-            heap[:] = kept
-            heapq.heapify(heap)
         # The new pairs, grouped by lcm L; every member's LM divides L.
         # Criterion M drops a group when the table holds more divisors of
         # L than its members: the pair of p with such a divisor has an lcm
@@ -404,11 +383,9 @@ def _pair_loop(
         size: dict[int, int] = {}
         coprime: set[int] = set()  # lcms of groups with a coprime member
         ncoprime = 0
-        for i in active:
-            l = lms[i] | lm
-            if l == lms[i]:
-                gone.append(i)
-            if not lms[i] & lm:
+        for i, q in enumerate(basis):
+            l = q[0] | lm
+            if not q[0] & lm:
                 coprime.add(l)
                 ncoprime += 1
             if l in size:
@@ -420,13 +397,13 @@ def _pair_loop(
             if l not in coprime and divisors.of(l).bit_count() == size[l]:
                 pairs.append((l, i))
         stats.dropped_coprime += ncoprime
-        stats.dropped_mf += len(active) - ncoprime - len(pairs)
+        stats.dropped_mf += idx - ncoprime - len(pairs)
         for l, i in pairs:
             heapq.heappush(heap, (l.bit_count(), l, seq, i, idx))
             seq += 1
         # Field pairs: x*p = p when x divides every term; the rest are the
         # only pairs with lcm LM(p) * x^2, and criterion M drops all of them
-        # when an active leading monomial divides LM(p).
+        # when an earlier leading monomial divides LM(p).
         common = lm
         for t in p:
             common &= t
@@ -442,19 +419,8 @@ def _pair_loop(
             heapq.heappush(heap, (degree, lm, seq, idx, -x))
             seq += 1
             fields ^= x
-        if gone:
-            # Retire the active elements whose leading monomial LM(p) divides:
-            # no new pairs, no reductions; their pending pairs stay queued.
-            for k in gone:
-                divisors.remove(k)
-            stats.retired += len(gone)
-            active[:] = [k for k in active if lms[k] & lm != lm]
         basis.append(p)
-        lms.append(lm)
-        active.append(idx)
         divisors.add(idx, lm)
-        if len(active) > stats.max_active:
-            stats.max_active = len(active)
 
     for p in gens:
         add_poly(p)
@@ -493,18 +459,7 @@ def _pair_loop(
             add_poly(r)
         else:
             stats.reductions_zero += 1
-    return [basis[k] for k in active]
-
-
-def _chain_through(pair: tuple[int, int, int, int, int], lm: int, lms: Sequence[int]) -> bool:
-    """Criterion B_k for a pending pair whose lcm L the new leading monomial lm
-    divides: true when neither of the pair's elements has lcm L with lm."""
-    _, l, _, i, j = pair
-    if j < 0:
-        # L is LM_i with x squared: the pair of lm with LM_i is squarefree, and
-        # the pair of lm with x^2 + x has lcm (lm | x) with x squared.
-        return lm | -j != l
-    return lms[i] | lm != l and lms[j] | lm != l
+    return basis
 
 
 def _reduce_basis(basis: list[tuple[int, ...]], v: int) -> list[tuple[int, ...]]:
@@ -544,7 +499,6 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     if B.points:
         points = {field_shift(b, n, blocks): pts for b, pts in B.points}
         reduced = reduced_basis(gens, products, points, n, stats)
-        stats.max_active = len(reduced)
     else:
         reduced = _reduce_basis(_pair_loop(gens, products, v, stats), v)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)

@@ -239,6 +239,21 @@ def test_threshold_certificates_match_the_pair_loop():
     assert (stats.products_vanished, stats.variety_points, stats.products_folded) == (0, 0, 2)
 
 
+@pytest.mark.parametrize("name, n, f, pairs", [
+    ("q4", 4, 1, 310), ("q3", 4, 2, 694), ("availability", 5, 1, 469), ("masking", 4, 1, 407),
+])
+def test_pair_loop_criteria_bound_the_pairs_queued(name, n, f, pairs):
+    """Criteria M and F keep the pair loop's queue on the threshold
+    reference ideals at these counts; with the coprime criterion alone it
+    queues 2-5 times as many pairs."""
+    quorums, fail_prone = threshold_system(n, f, "classical")
+    systems = {"quorums": quorums, "fail_prone": fail_prone}
+    B, _ = _recorded_ideal(name, systems)
+    stats = buchberger(_without_points(name, systems, B)).stats
+    assert stats.pairs_queued <= pairs
+    assert stats.pairs_queued == stats.reductions_zero + stats.reductions_nonzero
+
+
 def test_lex_game_memory_stays_near_its_table_budget(monkeypatch):
     """Past _TABLE_BITS the lex game stops before it holds much more. On
     the n=10, f=3 all-sizes systems availability's game holds 18 MB of
