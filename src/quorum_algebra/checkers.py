@@ -21,7 +21,6 @@ from .algebra import BlockLexOrder, Polynomial, Record
 from .encoding import (
     ProcessSubset,
     SetSystem,
-    _field_mask,
     cover_poly,
     overlap_poly,
     uncovered_meet_poly,
@@ -194,7 +193,7 @@ def _decide(
         raise ValueError(f"unknown method {method!r}")
 
     members = {block: _members(source, systems) for block, source in prop.encodes}
-    points = tuple((b, frozenset(_field_mask(m) for m in system)) for b, system in members.items())
+    points = tuple((b, frozenset(m.mask for m in system)) for b, system in members.items())
     relation = prop.relation(n)
     gens: tuple[Polynomial, ...] = ()
     products: tuple[tuple[Polynomial, ...], ...] = ()

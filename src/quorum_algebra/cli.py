@@ -233,15 +233,13 @@ def cmd_groebner(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_threshold(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
-    if args.f < 0:
-        raise InputError("--f must be >= 0")
     try:
         quorums, fail_prone = threshold_system(args.n, args.f, args.kind, args.all_sizes)
-    except ThresholdError as exc:
+    except ThresholdError as exc:  # a ValueError too, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     doc = {
         "n": args.n,

@@ -1,7 +1,8 @@
 """Encoding of process subsets and set systems as points and polynomials.
 
 A subset S of the processes {P1..Pn} is identified with its incidence
-vector: bit i-1 of a ProcessSubset mask records whether Pi is a member. The
+vector. A ProcessSubset mask is that vector as a point of one block field:
+Pi on bit n-i, index 1 on the top bit, as algebra lays out every field. The
 characteristic polynomial of S over a variable block picks out exactly that
 point of the Boolean cube: it multiplies V_i for members and (1 + V_i) for
 non-members, so it evaluates to 1 at the incidence vector of S and to 0
@@ -13,10 +14,6 @@ cofactor (the product of the 1 + V_i over non-members). Intersection, union
 and difference of the encoded sets are computed on those factored forms,
 where gcds of trailing monomials and idempotent products of cofactors are
 plain bitmask operations; expand() gives the Polynomial.
-
-A ProcessSubset mask keeps Pi on bit i-1, while a polynomial's block field
-keeps index 1 on its highest bit (see algebra), so _field_mask reverses the
-bits of an incidence vector once where a subset becomes a monomial.
 
 The characteristic polynomial of a whole set system, the product of
 (xi_S + 1) over its members S with xi_S the member's characteristic
@@ -44,7 +41,7 @@ from .algebra import Polynomial, Record, bit_positions, field_shift, gf2_zeta
 
 
 class ProcessSubset(Record):
-    """Subset of {P1..Pn} stored as a bitmask; bit i-1 is process Pi."""
+    """Subset of {P1..Pn} stored as a block-field bitmask; bit n-i is process Pi."""
 
     mask: int
     n: int
@@ -62,23 +59,23 @@ class ProcessSubset(Record):
         for i in indices:
             if not 1 <= i <= n:
                 raise ValueError(f"process index {i} out of range 1..{n}")
-            mask |= 1 << (i - 1)
+            mask |= 1 << (n - i)
         return cls(mask, n)
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(p + 1 for p in bit_positions(self.mask))
+        return tuple(self.n - p for p in reversed(bit_positions(self.mask)))
 
     @property
     def vector(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.n))
+        return tuple(self.mask >> k & 1 for k in reversed(range(self.n)))
 
     @property
     def size(self) -> int:
         return self.mask.bit_count()
 
     def contains(self, i: int) -> bool:
-        return bool(self.mask >> (i - 1) & 1)
+        return 1 <= i <= self.n and bool(self.mask >> (self.n - i) & 1)
 
     def union(self, other: "ProcessSubset") -> "ProcessSubset":
         self._check(other)
@@ -108,11 +105,6 @@ class ProcessSubset(Record):
 
     def vector_str(self) -> str:
         return "(" + ",".join(str(b) for b in self.vector) + ")"
-
-
-def _field_mask(s: ProcessSubset) -> int:
-    """The subset as a mask of one block field: Pi on bit n-i, so P1 on top."""
-    return int(format(s.mask, f"0{s.n}b")[::-1], 2)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -231,13 +223,13 @@ class CharPoly(Record):
 
     def expand(self) -> Polynomial:
         n, shift = self.n, field_shift(self.block, self.n)
-        base = _field_mask(self.support)
+        base = self.support.mask
         comp = base ^ ((1 << n) - 1)
         return Polynomial(n, ((base | sub) << shift for sub in _submasks(comp)))
 
     def trailing_monomial(self) -> Polynomial:
         """The member product, as a one-term polynomial."""
-        return Polynomial(self.n, (_field_mask(self.support) << field_shift(self.block, self.n),))
+        return Polynomial(self.n, (self.support.mask << field_shift(self.block, self.n),))
 
     def leading_monomial(self) -> Polynomial:
         """The product of all the block's variables, as a one-term polynomial."""
@@ -336,13 +328,13 @@ def system_char_poly(system: SetSystem, block: str) -> Polynomial:
     T containing S. The coefficient of x^T is therefore
     [T empty] + #{S in system : S subset of T} mod 2: the F2 subset-sum
     transform of the member bitset, with the constant 1 added afterwards.
-    The bitset is indexed by the members' field masks, so the transform's
-    indices are the block's monomials as they stand.
+    The bitset is indexed by the members' masks, so the transform's indices
+    are the block's monomials as they stand.
     """
     n = system.n
     table = 0
     for m in system:
-        table |= 1 << _field_mask(m)
+        table |= 1 << m.mask
     coeffs = gf2_zeta(table, n) ^ 1
     shift = field_shift(block, n)
     return Polynomial(n, (t << shift for t in bit_positions(coeffs)))
@@ -356,7 +348,7 @@ def fixed_containment_poly(outer: ProcessSubset, inner_block: str) -> Polynomial
     """
     n = outer.n
     shift = field_shift(inner_block, n)
-    outside = _field_mask(outer.complement())
+    outside = outer.complement().mask
     return Polynomial(n, (sub << shift for sub in _submasks(outside) if sub))
 
 

@@ -172,7 +172,7 @@ class IdealBasis(Record):
     zero; an empty product is 1.
 
     Each entry of points is a block and a set of n-bit masks, index 1 on the
-    field's top bit (as encoding._field_mask gives): the ideal then also
+    field's top bit, as a ProcessSubset's mask is: the ideal then also
     holds I(points) on that block, the polynomials in that block's variables
     vanishing at every listed point. An empty set puts 1 in the ideal.
     Points go on every block of the order or on none: buchberger builds the

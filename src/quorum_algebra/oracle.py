@@ -1,11 +1,12 @@
 """Brute-force set-theoretic reference checks for quorum system properties.
 
 Everything here runs nested loops over the definitions on the members'
-subset masks (bit i-1 is process Pi), sharing no code with the polynomial
-machinery, so the two routes can cross-validate each other. Every tuple is
-enumerated in member order. Reports carry a witness when the property
-fails: the tuple of sets exhibiting the violation, in the first position
-found, turned into frozensets of process indices only then.
+subset masks, each a block-field point with index 1 on the top bit (Pi on
+bit n-i), sharing no code with the polynomial machinery, so the two
+routes can cross-validate each other. Every tuple is enumerated in member
+order. Reports carry a witness when the property fails: the tuple of sets
+exhibiting the violation, in the first position found, turned into
+frozensets of process indices only then.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ class OracleReport(Record):
         return ", ".join("{" + ",".join(f"P{i}" for i in sorted(w)) + "}" for w in self.witness)
 
 
-def _fails(label: str, *masks: int) -> OracleReport:
+def _fails(label: str, n: int, *masks: int) -> OracleReport:
     """A failing report whose witness is the masks' sets of process indices."""
-    witness = tuple(frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1) for m in masks)
+    witness = tuple(frozenset(i for i in range(1, n + 1) if m >> (n - i) & 1) for m in masks)
     return OracleReport(label, False, witness)
 
 
@@ -42,7 +43,7 @@ def oracle_consistency_classical(quorums: SetSystem) -> OracleReport:
     for q1 in qs:
         for q2 in qs:
             if not q1 & q2:
-                return _fails("classical-consistency", q1, q2)
+                return _fails("classical-consistency", quorums.n, q1, q2)
     return OracleReport("classical-consistency", True)
 
 
@@ -51,7 +52,7 @@ def oracle_availability(quorums: SetSystem, fail_prone: SetSystem) -> OracleRepo
     qs = [m.mask for m in quorums]
     for f in (m.mask for m in fail_prone):
         if all(q & f for q in qs):
-            return _fails("availability", f)
+            return _fails("availability", quorums.n, f)
     return OracleReport("availability", True)
 
 
@@ -64,7 +65,7 @@ def oracle_consistency_dissemination(quorums: SetSystem, fail_prone: SetSystem) 
             meet = q1 & q2
             for c in outside:
                 if not meet & c:
-                    return _fails("dissemination-consistency", q1, q2, ~c)
+                    return _fails("dissemination-consistency", quorums.n, q1, q2, ~c)
     return OracleReport("dissemination-consistency", True)
 
 
@@ -79,7 +80,7 @@ def oracle_consistency_masking(quorums: SetSystem, fail_prone: SetSystem) -> Ora
                 rest = meet & c1
                 for c2 in outside:
                     if not rest & c2:
-                        return _fails("masking-consistency", q1, q2, ~c1, ~c2)
+                        return _fails("masking-consistency", quorums.n, q1, q2, ~c1, ~c2)
     return OracleReport("masking-consistency", True)
 
 
@@ -110,7 +111,7 @@ def _no_cover(label: str, fail_prone: SetSystem, k: int) -> OracleReport:
         return None
 
     cover = first(0, k)
-    return OracleReport(label, True) if cover is None else _fails(label, *cover)
+    return OracleReport(label, True) if cover is None else _fails(label, fail_prone.n, *cover)
 
 
 def fstar_enumerate(fail_prone: SetSystem) -> SetSystem:
@@ -128,8 +129,8 @@ def fstar_enumerate(fail_prone: SetSystem) -> SetSystem:
             sub = (sub - 1) & mask
     closure.add(0)
     # among sets of one size, the one holding the lowest index where they
-    # differ sorts first: its bit-reversed mask is the larger
-    ordered = sorted(closure, key=lambda s: (s.bit_count(), -int(f"{s:0{n}b}"[::-1], 2)))
+    # differ sorts first: index 1 is the top bit, so its mask is the larger
+    ordered = sorted(closure, key=lambda s: (s.bit_count(), -s))
     return SetSystem(n, (ProcessSubset(s, n) for s in ordered))
 
 
@@ -143,7 +144,7 @@ def all_antichain_systems(n: int, max_members: int) -> list[SetSystem]:
 
     Exhaustive reference family for cross-validation at small n.
     """
-    subsets = [sum(1 << i for i in c) for k in range(1, n + 1) for c in combinations(range(n), k)]
+    subsets = [sum(1 << n - 1 - i for i in c) for k in range(1, n + 1) for c in combinations(range(n), k)]
     return [
         SetSystem(n, (ProcessSubset(s, n) for s in combo))
         for r in range(1, max_members + 1)

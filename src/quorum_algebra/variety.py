@@ -98,7 +98,7 @@ class LexGame:
         self.index = [{m: i for i, m in enumerate(std)} for std in self.std]
         self.memo: dict[tuple[int, int, int], dict[int, int]] = {}
         self.budget = budget
-        self.bits = held  # and those of the element tables, leaves, spreads and masks kept
+        self.bits = held  # and those of the element tables, lifted bases, leaves, spreads and masks kept
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.spreads: dict[tuple[int, int], int] = {}  # (b, points of W_b-1) -> spread(points, b)
         self.zetas: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (v, unit) -> zeta_steps(v, unit)
@@ -175,6 +175,7 @@ class LexGame:
             return self.memo[key]
         if j == 0:
             basis = self.lift(b + 1, self.basis(b + 1, self.n, self._spread_leaf(points, b + 1)))
+            self._hold(sum(g.bit_length() for g in basis.values()))
         else:
             half = u << (j - 1)
             p0, p1 = points & ((1 << half) - 1), points >> half

@@ -31,7 +31,6 @@ from quorum_algebra import variety
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
-    _field_mask,
     bool_product,
     overlap_poly,
     system_char_poly,
@@ -227,7 +226,7 @@ def test_threshold_certificates_match_the_pair_loop():
         assert B.products or reference.stats.pairs_queued > 0
     # the overlap product is zero on V0 and the other one cuts V; the pair
     # loop, given the blocks as characteristic polynomials, folds both
-    pts = frozenset(_field_mask(m) for m in TWO_SUBSETS)
+    pts = frozenset(m.mask for m in TWO_SUBSETS)
     products = (overlap_poly(3, "x", "y"), (parse_polynomial("x1*y1 + x1", 3),))
     order = BlockLexOrder(("x", "y"))
     cert = buchberger(IdealBasis((), order, 3, products, (("x", pts), ("y", pts))))

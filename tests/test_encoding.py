@@ -32,9 +32,9 @@ subsets = st.integers(1, 5).flatmap(
 
 
 def point(n, **block_masks):
-    """Assignment sending each block's variables to the bits of its mask."""
+    """Assignment sending each block's variables to the bits of its mask, index 1 on top."""
     return {
-        Variable(b, i): (mask >> (i - 1)) & 1
+        Variable(b, i): (mask >> (n - i)) & 1
         for b, mask in block_masks.items()
         for i in range(1, n + 1)
     }
@@ -52,6 +52,17 @@ def test_process_subset_basics():
         ProcessSubset.from_indices((0,), 5)
     with pytest.raises(ValueError):
         ProcessSubset.from_indices((6,), 5)
+
+
+@given(data=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+def test_mask_is_the_block_field_point(data):
+    """A subset's mask reads as its incidence vector: P1 on the top bit."""
+    n, members = data
+    s = ProcessSubset.from_indices(members, n)
+    assert s.mask == int("".join(map(str, s.vector)), 2)
+    assert s.indices == tuple(sorted(members))
+    assert ProcessSubset.from_indices(s.indices, n) == s
+    assert [s.contains(i) for i in range(-1, n + 3)] == [i in members for i in range(-1, n + 3)]
 
 
 @given(s=subsets)

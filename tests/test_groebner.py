@@ -23,7 +23,6 @@ from quorum_algebra.algebra import (
 from quorum_algebra.encoding import (
     ProcessSubset,
     SetSystem,
-    _field_mask,
     bool_product,
     char_poly,
     overlap_poly,
@@ -355,7 +354,7 @@ def test_one_system_on_two_blocks_and_an_unsatisfiable_block():
 
 
 def _points(system):
-    return frozenset(_field_mask(m) for m in system)
+    return frozenset(m.mask for m in system)
 
 
 point_systems = st.integers(1, 6).flatmap(

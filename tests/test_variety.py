@@ -122,9 +122,9 @@ def test_each_leaf_descends_once(monkeypatch):
 
 
 def test_leaves_count_toward_the_budget(monkeypatch):
-    """A budget that the element tables alone fit raises TooLarge once the
-    leaves' interpolants, the spread leaf point sets and the zeta masks
-    are counted too."""
+    """A budget that the element tables and the lifted bases alone fit
+    raises TooLarge once the leaves' interpolants, the spread leaf point
+    sets and the zeta masks are counted too."""
     seen = []
     real = LexGame.elements
 
@@ -143,12 +143,15 @@ def test_leaves_count_toward_the_budget(monkeypatch):
         for (b, j, _), basis in game.memo.items() if j
         for m, g in basis.items() if m >= game.units[b] << (j - 1)
     )
+    # a node over no variables holds the basis lifted from the level below
+    lifted = sum(g.bit_length() for (_, j, _), basis in game.memo.items() if not j for g in basis.values())
     leaves = sum(p.bit_length() + w.bit_length() + f.bit_length() for (_, p, w), f in game.leaves.items())
     spreads = sum(p.bit_length() + t.bit_length() for (_, p), t in game.spreads.items())
     masks = sum(pat.bit_length() for steps in game.zetas.values() for _, pat in steps)
-    assert leaves > 0 and spreads > 0 and masks > 0 and game.bits == tables + leaves + spreads + masks
+    assert lifted > 0 and leaves > 0 and spreads > 0 and masks > 0
+    assert game.bits == tables + lifted + leaves + spreads + masks
     with pytest.raises(TooLarge):
-        LexGame(fields, n, tables).elements(v)
+        LexGame(fields, n, tables + lifted).elements(v)
     game = LexGame(fields, n, game.bits)
     assert game.elements(v) == real(LexGame(fields, n), v)
     assert not (game.memo or game.leaves or game.spreads or game.zetas)  # freed when the game ends
