@@ -197,12 +197,13 @@ class BlockLexOrder(Record):
         return 0 < k <= len(self.blocks) and self.blocks[-k:] == tuple(keep_blocks)
 
 
-class Polynomial:
+class Polynomial(Record):
     """A set of squarefree monomial masks over F2, tied to an ambient dimension n."""
 
-    __slots__ = ("_n", "_terms")
+    n: int
+    terms: frozenset[int]
 
-    def __init__(self, n: int, terms: Iterable[int] = ()):
+    def __init__(self, n: int, terms: Iterable[int] = ()) -> None:
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
         folded: set[int] = set()
@@ -214,8 +215,7 @@ class Polynomial:
         v = len(BLOCKS) * n
         if folded and (min(folded) < 0 or max(folded) >> v):
             raise ValueError(f"term outside the {v} variables of ambient dimension {n}")
-        self._n = n
-        self._terms = frozenset(folded)
+        self.__dict__.update(n=n, terms=frozenset(folded))
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
@@ -230,50 +230,42 @@ class Polynomial:
         return cls(n, (v.mask(n),))
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def terms(self) -> frozenset[int]:
-        return self._terms
-
-    @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.terms
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {0}
+        return self.terms == {0}
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.terms)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def support(self) -> int:
         """Mask of the variables that appear."""
         acc = 0
-        for m in self._terms:
+        for m in self.terms:
             acc |= m
         return acc
 
     def blocks(self) -> frozenset[str]:
         support = self.support()
-        return frozenset(b for b, bits in _field_masks(self._n) if support & bits)
+        return frozenset(b for b, bits in _field_masks(self.n) if support & bits)
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {other!r}")
-        if self._n != other._n:
-            raise ValueError(f"ambient dimension mismatch: {self._n} vs {other._n}")
+        if self.n != other.n:
+            raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        return Polynomial(self._n, self._terms.symmetric_difference(other._terms))
+        return Polynomial(self.n, self.terms.symmetric_difference(other.terms))
 
     __sub__ = __add__  # characteristic 2
 
@@ -281,18 +273,18 @@ class Polynomial:
         """Boolean product: monomials multiply by OR, equal results cancel."""
         self._check_compatible(other)
         acc: set[int] = set()
-        for a in self._terms:
-            for b in other._terms:
+        for a in self.terms:
+            for b in other.terms:
                 m = a | b
                 if m in acc:
                     acc.discard(m)
                 else:
                     acc.add(m)
-        return Polynomial(self._n, acc)
+        return Polynomial(self.n, acc)
 
     def evaluate(self, point: Mapping[Variable, int]) -> int:
         """Value at a 0/1 point assigning every variable that appears."""
-        n = self._n
+        n = self.n
         assigned = ones = 0
         for v, bit in point.items():
             if bit not in (0, 1):
@@ -306,7 +298,7 @@ class Polynomial:
         if missing:
             raise ValueError(f"point does not assign {monomial_text(missing & -missing, n)}")
         acc = 0
-        for m in self._terms:
+        for m in self.terms:
             if not m & ~ones:
                 acc ^= 1
         return acc
@@ -316,37 +308,27 @@ class Polynomial:
         outside = self.blocks() - set(order.blocks)
         if outside:
             raise ValueError(f"{self} uses blocks {sorted(outside)} outside {order.blocks}")
-        return list(zip(move_fields(self._terms, BLOCKS, order.blocks, self._n), self._terms))
+        return list(zip(move_fields(self.terms, BLOCKS, order.blocks, self.n), self.terms))
 
     def descending(self, order: BlockLexOrder) -> list[int]:
         """The terms, most significant first in the order."""
         return [m for _, m in sorted(self._ranked(order), reverse=True)]
 
     def leading_monomial(self, order: BlockLexOrder) -> int:
-        if not self._terms:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self._ranked(order))[1]
 
     def trailing_monomial(self, order: BlockLexOrder) -> int:
-        if not self._terms:
+        if not self.terms:
             raise ValueError("zero polynomial has no trailing monomial")
         return min(self._ranked(order))[1]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self._n == other._n
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._terms))
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
     def __repr__(self) -> str:
-        return f"Polynomial(n={self._n}, {format_polynomial(self)})"
+        return f"Polynomial(n={self.n}, {format_polynomial(self)})"
 
 
 _VAR_RE = re.compile(r"([xyzt])([0-9]+)\Z")

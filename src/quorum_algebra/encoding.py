@@ -134,16 +134,17 @@ def phi_inv(p: ProcessSubset) -> frozenset[int]:
     return frozenset(p.indices)
 
 
-class SetSystem:
+class SetSystem(Record):
     """An ordered collection of distinct process subsets over one ambient n.
 
     Whether the members form an antichain is reported, not enforced:
     downward closures are legitimate set systems.
     """
 
-    __slots__ = ("_n", "_members")
+    n: int
+    members: tuple[ProcessSubset, ...]
 
-    def __init__(self, n: int, members: Iterable[ProcessSubset]):
+    def __init__(self, n: int, members: Iterable[ProcessSubset]) -> None:
         ms = tuple(members)
         for m in ms:
             if not isinstance(m, ProcessSubset):
@@ -153,52 +154,33 @@ class SetSystem:
         masks = [m.mask for m in ms]
         if len(set(masks)) != len(ms):
             raise ValueError("duplicate members in set system")
-        self._n = n
-        self._members = ms
+        self.__dict__.update(n=n, members=ms)
 
     @classmethod
     def from_lists(cls, n: int, lists: Iterable[Iterable[int]]) -> "SetSystem":
         return cls(n, (ProcessSubset.from_indices(s, n) for s in lists))
 
     @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def members(self) -> tuple[ProcessSubset, ...]:
-        return self._members
-
-    @property
     def is_antichain(self) -> bool:
         """No member contains another; computed on each access, O(m^2) in the members."""
-        masks = [m.mask for m in self._members]
+        masks = [m.mask for m in self.members]
         # members are distinct, so a meet equal to either mask is a strict containment
         return not any((meet := a & b) == a or meet == b for a, b in combinations(masks, 2))
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
     def __iter__(self) -> Iterator[ProcessSubset]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __getitem__(self, k: int) -> ProcessSubset:
-        return self._members[k]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SetSystem)
-            and self._n == other._n
-            and self._members == other._members
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._members))
+        return self.members[k]
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(m) for m in self._members) + "}"
+        return "{" + ", ".join(str(m) for m in self.members) + "}"
 
     def complements(self) -> "SetSystem":
-        return SetSystem(self._n, (m.complement() for m in self._members))
+        return SetSystem(self.n, (m.complement() for m in self.members))
 
 
 class CharPoly(Record):

@@ -97,6 +97,11 @@ def oracle_q4(fail_prone: SetSystem) -> OracleReport:
 def _no_cover(label: str, fail_prone: SetSystem, k: int) -> OracleReport:
     fs = [m.mask for m in fail_prone]
     full = (1 << fail_prone.n) - 1
+    union = 0
+    for f in fs:
+        union |= f
+    if union != full:  # not even all of them together cover, so no k-tuple does
+        return OracleReport(label, True)
 
     def first(union: int, k: int) -> tuple[int, ...] | None:
         """The first k-tuple of fs, in product order, that completes union to full."""

@@ -11,9 +11,10 @@ cuts each block's points to those V uses, and LexGame builds the reduced
 basis of I(V) one block at a time, with no pair loop, no fold and no
 inter-reduction, down to the first block k where V's projection onto the
 blocks from k on is the product of their point sets. The point bases of
-those blocks, each distinct point set solved once, are the rest (k = 0 when
-V is V0). V0's bitset and the game's tables share one budget, _TABLE_BITS
-bits; past it the route raises TooLarge, a ValueError.
+those blocks, each distinct point set solved once by a game of its own, are
+the rest (k = 0 when V is V0). V0's bitset and the tables of each game share
+one budget, _TABLE_BITS bits; past it the route raises TooLarge, a
+ValueError.
 
 Point sets, value tables and polynomials here are bitsets over the masks of
 a block's cube, each mask owning a run of unit bits indexed by the points w
@@ -37,7 +38,7 @@ from .algebra import bit_positions, repeat_bits, zeta_steps
 
 # A level's tables are turned into polynomials this many bits at a time.
 _BATCH_BITS = 1 << 18
-# The bits (256 MiB) that V0's bitset and the lex game's tables may hold in all.
+# The bits (256 MiB) that V0's bitset and a lex game's tables may hold in all.
 _TABLE_BITS = 1 << 31
 
 
@@ -435,7 +436,8 @@ def reduced_basis(
     gives the elements that lead with a block above k, and the point bases
     of blocks k and below, whose variables they alone use, give the rest.
     Raises TooLarge, before evaluating anything, when V0's bitset passes
-    _TABLE_BITS, and when it and the game's tables pass it together. Sets
+    _TABLE_BITS, and when it and the tables of a game, a point basis's
+    included, pass it together. Sets
     stats' products_vanished, variety_points and block counts."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
@@ -456,7 +458,7 @@ def reduced_basis(
         basis = built.get(key)
         if basis is None:
             stats.blocks_solved += 1
-            elements = LexGame([(0, pts)], n).basis(0, n, key).values()
+            elements = LexGame([(0, pts)], n, _TABLE_BITS, held=size).basis(0, n, key).values()
             basis = built[key] = [tuple(bit_positions(g)[::-1]) for g in elements]
         else:
             stats.blocks_reused += 1

@@ -285,6 +285,16 @@ def test_v0_over_the_table_budget_raises_before_evaluating(monkeypatch):
         check_q4(fail_prone)
 
 
+def test_point_basis_games_count_toward_the_table_budget(monkeypatch):
+    """Consistency at n=8, f=2 has V = V0, the 784 pairs of its 28 quorums,
+    so no game runs on V; the quorums' point basis is a game of its own,
+    and it and V0's bitset pass a 2,000-bit budget together."""
+    quorums, _ = threshold_system(8, 2, "classical")
+    monkeypatch.setattr(variety, "_TABLE_BITS", 2000)
+    with pytest.raises(TooLarge, match="would hold 2142 bits, over the table budget of 2000 bits"):
+        check_consistency_classical(quorums)
+
+
 def test_availability_holds():
     verdict = check_availability(TWO_SUBSETS, SINGLETONS)
     assert verdict.holds

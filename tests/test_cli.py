@@ -206,6 +206,10 @@ def test_check_unreadable_inputs(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{}")
     code, out, err = run(["check", "consistency", "--input", str(binary)], capsys)
     assert code == 2 and out == "" and "not UTF-8" in err
+    # valid JSON that is not an object is not a system file
+    array = write_input(tmp_path, [TRIANGLE], "array.json")
+    code, out, err = run(["check", "consistency", "--input", array], capsys)
+    assert (code, out, err) == (2, "", f"error: {array}: top level must be an object\n")
 
 
 def test_check_is_deterministic(tmp_path, capsys):
@@ -423,6 +427,16 @@ def test_gen_threshold_warns_when_q3_fails(tmp_path, capsys):
     assert code == 1
 
 
+def test_gen_threshold_warns_when_q4_fails(tmp_path, capsys):
+    # four singletons cover n=4, so no masking system over them works
+    code, _, err = run(
+        ["gen-threshold", "--n", "4", "--f", "1", "--kind", "masking",
+         "--out", str(tmp_path / "gen.json")], capsys
+    )
+    assert code == 0
+    assert "warning: four fail-prone sets cover all processes" in err
+
+
 def test_gen_threshold_empty_fail_prone(tmp_path, capsys):
     out_path = str(tmp_path / "gen.json")
     code, _, _ = run(
@@ -455,6 +469,13 @@ def test_gen_threshold_bad_arguments(tmp_path, capsys):
          "--out", str(tmp_path / "gen.json")], capsys
     )
     assert code == 2
+    # an output path that cannot be opened is one error line, not a traceback
+    code, out, err = run(
+        ["gen-threshold", "--n", "3", "--f", "1", "--kind", "classical",
+         "--out", str(tmp_path / "missing" / "gen.json")], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def call(argv, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, Variable, parse_polynomial
 from quorum_algebra.checkers import Property, Verdict
-from quorum_algebra.encoding import CharPoly, ProcessSubset, overlap_poly
+from quorum_algebra.encoding import CharPoly, ProcessSubset, SetSystem, overlap_poly
 from quorum_algebra.groebner import GroebnerCertificate, GroebnerStats, IdealBasis
 from quorum_algebra.oracle import OracleReport
 
@@ -52,6 +52,27 @@ CASES = [
             ((-1, 3), ValueError, "out of range for n=3"),
         ],
         id="ProcessSubset",
+    ),
+    pytest.param(
+        Polynomial, {"n": 2, "terms": GEN.terms}, (2, GEN.terms - {0}),
+        "Polynomial(n=2, x1*y1 + 1)", {"terms": frozenset()},
+        [
+            ((0,), ValueError, "ambient dimension must be >= 1"),
+            ((1, (0b10000,)), ValueError, "term outside the 4 variables of ambient dimension 1"),
+            ((1, (-1,)), ValueError, "term outside the 4 variables"),
+        ],
+        id="Polynomial",
+    ),
+    pytest.param(
+        SetSystem, {"n": 3, "members": (ProcessSubset(5, 3), ProcessSubset(3, 3))},
+        (3, (ProcessSubset(5, 3),)),
+        "SetSystem(n=3, members=(ProcessSubset(mask=5, n=3), ProcessSubset(mask=3, n=3)))", {},
+        [
+            ((3, (5,)), TypeError, "member 5 is not a ProcessSubset"),
+            ((4, (ProcessSubset(5, 3),)), ValueError, "member over n=3, system over n=4"),
+            ((3, (ProcessSubset(5, 3),) * 2), ValueError, "duplicate members"),
+        ],
+        id="SetSystem",
     ),
     pytest.param(
         CharPoly, {"support": ProcessSubset(5, 3), "block": "y"}, (ProcessSubset(5, 3), "x"),
