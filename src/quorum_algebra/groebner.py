@@ -43,13 +43,16 @@ leading monomial another one divides. GroebnerStats counts what a run did.
 
 The points pick the route. An ideal with points on every block, as every
 checker's, is built from its variety by variety.reduced_basis, with no pair
-loop, or refused with variety.TooLarge past that route's budget. The pair
-loop runs the ideals without points, as qa groebner's.
+loop, or refused with variety.TooLarge past that route's budget; that route
+evaluates each product on V0, the product of the blocks' point sets. The
+pair loop runs the ideals without points, as qa groebner's, and takes each
+product expanded, as one more generator.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
@@ -167,9 +170,9 @@ class IdealBasis(Record):
     """Generators plus the order and ambient they are to be read in.
 
     Each entry of products is a tuple of factors whose Boolean product is one
-    more generator; buchberger multiplies it out modulo the partial basis
-    rather than expanding it. A zero factor is allowed and makes the product
-    zero; an empty product is 1.
+    more generator: the variety route evaluates it on V0, and the pair loop
+    takes it expanded. A zero factor is allowed and makes the product zero;
+    an empty product is 1.
 
     Each entry of points is a block and a set of n-bit masks, index 1 on the
     field's top bit, as a ProcessSubset's mask is: the ideal then also
@@ -238,8 +241,7 @@ class GroebnerStats(SimpleNamespace):
             dropped_field=0,  # field pairs (g, x) with x dividing every term of g
             reductions_zero=0,
             reductions_nonzero=0,
-            products_folded=0,
-            products_vanished=0,  # products zero on every point of V0, never folded
+            products_vanished=0,  # products zero on every point of V0
             variety_points=0,  # |V|, when the basis is built from the variety V
             # block bases the route reads: distinct point sets solved on their
             # own, and blocks given the basis of an equal point set
@@ -250,7 +252,8 @@ class GroebnerStats(SimpleNamespace):
 
 class GroebnerCertificate(Record):
     """Reduced basis plus the standard monomial count over the full ambient;
-    stats, which equality ignores, counts the work of the run behind them.
+    stats, an attribute but not a field, so equality, hashing and repr
+    ignore it, counts the work of the run behind them.
 
     masks is the basis as the engine holds it: one tuple of masks per
     element, in the order's own layout, descending, so element 0 is the
@@ -262,7 +265,6 @@ class GroebnerCertificate(Record):
     order: BlockLexOrder
     n: int
     sm_count: int
-    stats: GroebnerStats
 
     def __init__(
         self, masks: tuple[tuple[int, ...], ...], order: BlockLexOrder, n: int, sm_count: int,
@@ -270,16 +272,6 @@ class GroebnerCertificate(Record):
     ) -> None:
         stats = GroebnerStats() if stats is None else stats
         self.__dict__.update(masks=masks, order=order, n=n, sm_count=sm_count, stats=stats)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self)[:-1] == other._key(other)[:-1]  # all but stats
-
-    # unlike the other records, a certificate is mutable, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -352,12 +344,7 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
     return Polynomial(f.n, out)
 
 
-def _pair_loop(
-    gens: list[tuple[int, ...]],
-    products: list[list[tuple[int, ...]]],
-    v: int,
-    stats: GroebnerStats,
-) -> list[tuple[int, ...]]:
+def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> list[tuple[int, ...]]:
     """Buchberger's pair loop over v-bit masks; returns every element it
     built, a Groebner basis once the pairs run out."""
     basis: list[tuple[int, ...]] = []
@@ -424,33 +411,7 @@ def _pair_loop(
 
     for p in gens:
         add_poly(p)
-    pending = iter(products)
-
-    while True:
-        # A product waits until the pairs run out, then is reduced modulo that
-        # Groebner basis after every factor: it stays small, and it differs from
-        # the expanded product by an ideal element, so the ideal is unchanged.
-        if not heap:
-            factors = next(pending, None)
-            if factors is None:
-                break
-            stats.products_folded += 1
-            acc: Collection[int] = (0,)  # the constant 1
-            for f in factors:
-                terms: set[int] = set()
-                for a in acc:
-                    for b in f:
-                        m = a | b
-                        if m in terms:
-                            terms.discard(m)
-                        else:
-                            terms.add(m)
-                acc = _normal_form(terms, basis, divisors)
-                if not acc:
-                    break
-            if acc:
-                add_poly(tuple(acc))
-            continue
+    while heap:
         _, _, _, i, j = heapq.heappop(heap)
         s = _spoly(basis[i], basis[j]) if j >= 0 else _field_spoly(basis[i], -j)
         r = _normal_form(s, basis, divisors)
@@ -495,12 +456,14 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         return tuple(sorted(move_fields(g.terms, BLOCKS, blocks, n), reverse=True))
 
     gens = [engine(g) for g in B.generators]
-    products = [[engine(f) for f in factors] for factors in B.products]
     if B.points:
+        products = [[engine(f) for f in factors] for factors in B.products]
         points = {field_shift(b, n, blocks): pts for b, pts in B.points}
         reduced = reduced_basis(gens, products, points, n, stats)
     else:
-        reduced = _reduce_basis(_pair_loop(gens, products, v, stats), v)
+        expanded = (math.prod(factors, start=Polynomial.one(n)) for factors in B.products)
+        gens += [engine(g) for g in expanded if not g.is_zero]
+        reduced = _reduce_basis(_pair_loop(gens, v, stats), v)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats
@@ -528,26 +491,8 @@ def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
-    """Count the submasks of universe that no mask divides; the masks lie in it.
-
-    Masks over disjoint sets of variables are counted apart, and the counts
-    multiply; the variables of no mask double the count.
-    """
-    parts: dict[int, list[int]] = {}  # variables -> the masks on them; no two share one
-    for m in masks:
-        support, group = m, [m]
-        for variables in [k for k in parts if k & m]:
-            support |= variables
-            group += parts.pop(variables)
-        parts[support] = group
-    count = 1 << universe.bit_count()
-    for variables, group in parts.items():
-        count = (count >> variables.bit_count()) * _sm_count_connected(group, variables)
-    return count
-
-
-def _sm_count_connected(masks: Sequence[int], universe: int) -> int:
-    """_sm_count_masks on masks that share variables, by recursion on the variables."""
+    """Count the submasks of universe that no mask divides, by recursion on
+    the variables; the masks lie in universe."""
     if any(m == 0 for m in masks):
         return 0
     bits = [1 << b for b in bit_positions(universe)]

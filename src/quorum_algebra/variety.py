@@ -8,7 +8,7 @@ products>, V0 the product of the block point sets. A Boolean ideal is
 radical, so this is I(V), V the tuples of V0 where every generator and
 product is zero. evaluate finds V from the Kronecker structure of V0, shrink
 cuts each block's points to those V uses, and LexGame builds the reduced
-basis of I(V) one block at a time, with no pair loop, no fold and no
+basis of I(V) one block at a time, with no pair loop and no
 inter-reduction, down to the first block k where V's projection onto the
 blocks from k on is the product of their point sets. The point bases of
 those blocks, each distinct point set solved once by a game of its own, are

@@ -1,5 +1,7 @@
 """Tests for monomial masks, polynomials, the block order and the text grammar."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,20 @@ def test_leading_and_trailing_are_extremes(f):
         assert keys[f.leading_monomial(order)] == max(keys.values())
         assert keys[f.trailing_monomial(order)] == min(keys.values())
         assert [keys[m] for m in f.descending(order)] == sorted(keys.values(), reverse=True)
+
+
+def test_arithmetic_rejects_foreign_operands():
+    f = parse_polynomial("x1 + 1", N)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="expected Polynomial, got 1"):
+            op(f, 1)
+        with pytest.raises(ValueError, match=f"ambient dimension mismatch: {N} vs {N + 1}"):
+            op(f, parse_polynomial("x1", N + 1))
+
+
+def test_zero_has_no_trailing_monomial():
+    with pytest.raises(ValueError, match="zero polynomial has no trailing monomial"):
+        Polynomial.zero(N).trailing_monomial(ORDER)
 
 
 def test_evaluate_requires_full_point():

@@ -200,7 +200,7 @@ def test_variety_route_matches_the_pair_loop(drawn):
     reference = buchberger(_without_points(name, systems, B))
     assert reference.stats.variety_points == 0
     assert cert == reference
-    assert cert.stats.pairs_queued == cert.stats.products_folded == 0
+    assert cert.stats.pairs_queued == 0
     assert_is_reduced_basis(B, cert)
     if cert.sm_count == 0:
         assert cert.basis == (Polynomial.one(quorums.n),)
@@ -209,7 +209,7 @@ def test_variety_route_matches_the_pair_loop(drawn):
 # in each case below V is not V0, so the lex game runs
 def test_threshold_certificates_match_the_pair_loop():
     """At n = 4 and 5 each checker's certificate equals the pair loop's on
-    its ideal written as characteristic polynomials, which folds the
+    its ideal written as characteristic polynomials, which expands the
     products and pairs availability's flipped relation."""
     cases = [("q4", threshold_system(4, 1, "classical")), ("q3", threshold_system(4, 2, "classical")),
              ("availability", threshold_system(5, 1, "classical")),
@@ -222,10 +222,9 @@ def test_threshold_certificates_match_the_pair_loop():
         assert cert.stats.variety_points > 0 and cert.stats.pairs_queued == 0
         reference = buchberger(_without_points(name, systems, B))
         assert reference == cert and reference.stats.variety_points == 0
-        assert reference.stats.products_folded == len(B.products)
         assert B.products or reference.stats.pairs_queued > 0
     # the overlap product is zero on V0 and the other one cuts V; the pair
-    # loop, given the blocks as characteristic polynomials, folds both
+    # loop, given the blocks as characteristic polynomials, expands both
     pts = frozenset(m.mask for m in TWO_SUBSETS)
     products = (overlap_poly(3, "x", "y"), (parse_polynomial("x1*y1 + x1", 3),))
     order = BlockLexOrder(("x", "y"))
@@ -235,16 +234,16 @@ def test_threshold_certificates_match_the_pair_loop():
     reference = buchberger(IdealBasis(chars, order, 3, products))
     assert reference == cert
     stats = reference.stats
-    assert (stats.products_vanished, stats.variety_points, stats.products_folded) == (0, 0, 2)
+    assert (stats.products_vanished, stats.variety_points) == (0, 0)
 
 
 @pytest.mark.parametrize("name, n, f, pairs", [
-    ("q4", 4, 1, 310), ("q3", 4, 2, 694), ("availability", 5, 1, 469), ("masking", 4, 1, 407),
+    ("q4", 4, 1, 311), ("q3", 4, 2, 695), ("availability", 5, 1, 469), ("masking", 4, 1, 408),
 ])
 def test_pair_loop_criteria_bound_the_pairs_queued(name, n, f, pairs):
     """Criteria M and F keep the pair loop's queue on the threshold
     reference ideals at these counts; with the coprime criterion alone it
-    queues 2-5 times as many pairs."""
+    queues 2.4-5.5 times as many pairs (761, 3827, 1700 and 1006)."""
     quorums, fail_prone = threshold_system(n, f, "classical")
     systems = {"quorums": quorums, "fail_prone": fail_prone}
     B, _ = _recorded_ideal(name, systems)

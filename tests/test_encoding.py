@@ -54,6 +54,13 @@ def test_process_subset_basics():
         ProcessSubset.from_indices((6,), 5)
 
 
+def test_set_operations_reject_another_process_count():
+    a, b = ProcessSubset(0b01, 2), ProcessSubset(0b001, 3)
+    for op in (a.union, a.intersection, a.difference, a.is_subset_of):
+        with pytest.raises(ValueError, match="process count mismatch: 2 vs 3"):
+            op(b)
+
+
 @given(data=st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
 def test_mask_is_the_block_field_point(data):
     """A subset's mask reads as its incidence vector: P1 on the top bit."""
@@ -88,6 +95,8 @@ def test_set_system_dedup_and_antichain():
     assert SetSystem.from_lists(3, [[1, 2], [3]]).complements() == SetSystem.from_lists(
         3, [[3], [1, 2]]
     )
+    assert str(SetSystem.from_lists(3, [[1, 2], [3]])) == "{{P1,P2}, {P3}}"
+    assert str(SetSystem(3, ())) == "{}"
 
 
 def test_is_antichain_matches_its_definition():

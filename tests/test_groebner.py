@@ -213,7 +213,7 @@ def test_product_fold_edge_cases():
     # the empty product is 1
     cert = _assert_fold_matches_expansion(gens, ((),), X, 2)
     assert cert.basis == (Polynomial.one(2),) and cert.sm_count == 0
-    # x1 is in the ideal, so the product is zero after its first factor
+    # x1 is in the ideal and divides the product, so the product adds nothing
     gens = (p("x1", 2),)
     cert = _assert_fold_matches_expansion(gens, ((p("x1", 2), p("x2 + 1", 2)),), X, 2)
     assert cert.basis == gens and cert.sm_count == 2
@@ -295,7 +295,6 @@ def test_stats_balance_and_repeat():
         cert = _checked(basis)
         s = cert.stats
         assert s.pairs_queued == s.reductions_zero + s.reductions_nonzero
-        assert s.products_folded == len(basis.products)
         again = buchberger(basis)
         assert again.stats == s and again == cert
         # the counters are not part of the certificate's identity
@@ -413,22 +412,22 @@ def test_products_vanishing_on_the_points_are_not_folded():
         return _checked(basis).stats
 
     def counts(stats):
-        return stats.products_vanished, stats.products_folded, stats.pairs_queued, stats.variety_points
+        return stats.products_vanished, stats.pairs_queued, stats.variety_points
 
     # every two of these quorums meet, so the overlap product is zero on V0
     meeting = SetSystem.from_lists(3, [[1, 2], [1, 3], [2, 3]])
-    assert counts(run(meeting)) == (1, 0, 0, 9)
+    assert counts(run(meeting)) == (1, 0, 9)
     # {1} and {2} do not meet, so V keeps 2 of the 4 points of V0; the
-    # basis comes from V, with no fold and no pair
-    assert counts(run(SetSystem.from_lists(3, [[1], [2]]))) == (0, 0, 0, 2)
+    # basis comes from V, with no pair
+    assert counts(run(SetSystem.from_lists(3, [[1], [2]]))) == (0, 0, 2)
     # a generator is evaluated on V0 too; it cuts the pairs ({1,2} or {1,3}, {1,2})
-    assert counts(run(meeting, generators=(p("x1*y1*y2"),))) == (1, 0, 0, 7)
+    assert counts(run(meeting, generators=(p("x1*y1*y2"),))) == (1, 0, 7)
     # a block without points is refused: points go on every block or on none
     with pytest.raises(ValueError, match=r"no points on \['y'\]"):
         run(meeting, points=(("x", _points(meeting)),))
     # no point at all: every product vanishes, and the ideal is <1>
     stats = run(meeting, points=(("x", set()), ("y", _points(meeting))))
-    assert counts(stats) == (1, 0, 0, 0)
+    assert counts(stats) == (1, 0, 0)
 
 
 def test_sm_count_for_leaves_the_certificate_unchanged():
@@ -470,6 +469,18 @@ def test_standard_monomial_count_examples():
     assert standard_monomial_count([p("x1", 1)], [x1], X) == 1
     assert standard_monomial_count([], [x1, x2], X) == 4
     assert standard_monomial_count([p("x1*x2", 2)], [x1, x2], X) == 3
+
+
+def test_ambient_mismatches_are_refused():
+    x1 = Variable("x", 1)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        normal_form(p("x1", 2), [p("x1")], X)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        standard_monomial_count([p("x1", 2), p("x1")], [x1], X)
+    with pytest.raises(ValueError, match=r"generator x1 outside \('x',\) x 2"):
+        variety_enumerate([p("x1")], ("x",), 2)
+    with pytest.raises(ValueError, match=r"generator y1 outside \('x',\) x 3"):
+        variety_enumerate([p("y1")], ("x",), 3)
 
 
 def test_standard_monomial_count_methods_agree():
@@ -653,7 +664,7 @@ def test_one_block_generators_on_blocks_given_by_points(route):
         B = IdealBasis(tuple(gens), BlockLexOrder(blocks), n, products, points)
         cert = _checked(B)
         if route == "variety":
-            assert cert.stats.pairs_queued == cert.stats.products_folded == 0
+            assert cert.stats.pairs_queued == 0
         else:
             chars = [system_char_poly(system, b) for b, system in systems.items()]
             gens += [c for c in chars if not c.is_zero]
@@ -661,7 +672,6 @@ def test_one_block_generators_on_blocks_given_by_points(route):
             assert reference == cert
             stats = reference.stats
             assert stats.variety_points == stats.products_vanished == 0
-            assert stats.products_folded == len(products)
 
 
 def test_idealbasis_validates_products():
