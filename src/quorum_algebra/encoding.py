@@ -28,8 +28,8 @@ together: overlap_poly vanishes where supports meet, uncovered_meet_poly
 where a meet escapes a covering block, downset_poly exactly on the downward
 closure of a set system, and cover_poly takes value 1 where the blocks
 jointly cover every process. They return the factors of their product,
-which the Groebner engine multiplies out modulo the basis it has built so
-far; bool_product(...) gives the expansion.
+which the variety route evaluates on the block points; bool_product(...)
+gives the expansion, which an ideal without points takes as a generator.
 """
 
 from __future__ import annotations

@@ -45,14 +45,13 @@ The points pick the route. An ideal with points on every block, as every
 checker's, is built from its variety by variety.reduced_basis, with no pair
 loop, or refused with variety.TooLarge past that route's budget; that route
 evaluates each product on V0, the product of the blocks' point sets. The
-pair loop runs the ideals without points, as qa groebner's, and takes each
-product expanded, as one more generator.
+pair loop runs the ideals without points, as qa groebner's, which hold
+generators only.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from functools import cached_property
 from types import SimpleNamespace
 from typing import Collection, Iterable, Sequence
@@ -170,8 +169,9 @@ class IdealBasis(Record):
     """Generators plus the order and ambient they are to be read in.
 
     Each entry of products is a tuple of factors whose Boolean product is one
-    more generator: the variety route evaluates it on V0, and the pair loop
-    takes it expanded. A zero factor is allowed and makes the product zero;
+    more generator, which the variety route evaluates on V0; products need
+    points, and an ideal without them takes bool_product's expansion as a
+    generator instead. A zero factor is allowed and makes the product zero;
     an empty product is 1.
 
     Each entry of points is a block and a set of n-bit masks, index 1 on the
@@ -213,6 +213,8 @@ class IdealBasis(Record):
         missing = [b for b in self.order.blocks if b not in blocks]
         if blocks and missing:
             raise ValueError(f"points must be on every block or on none; no points on {missing}")
+        if self.products and not blocks:
+            raise ValueError("products need points on every block; pass their expansion as a generator")
 
     def _check(self, g: Polynomial, what: str) -> None:
         if not isinstance(g, Polynomial):
@@ -461,8 +463,6 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         points = {field_shift(b, n, blocks): pts for b, pts in B.points}
         reduced = reduced_basis(gens, products, points, n, stats)
     else:
-        expanded = (math.prod(factors, start=Polynomial.one(n)) for factors in B.products)
-        gens += [engine(g) for g in expanded if not g.is_zero]
         reduced = _reduce_basis(_pair_loop(gens, v, stats), v)
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(

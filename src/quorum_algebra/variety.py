@@ -184,15 +184,19 @@ class LexGame:
             only1 = p1 & ~p0
             for m, g in self.basis(b, j - 1, p0 & p1).items():
                 if m not in basis:
-                    t = self._zeta(g, j - 1, u) & only1
-                    g = basis[half + m] = g << half | self.interpolate(b, j - 1, p0 | p1, t)
+                    f0 = 0  # zero on P0, so zero everywhere when P1 lies in P0
+                    if only1:
+                        f0 = self.interpolate(b, j - 1, p0 | p1, self._zeta(g, j - 1, u) & only1)
+                    g = basis[half + m] = g << half | f0
                     self._hold(g.bit_length())
         self.memo[key] = basis
         return basis
 
     def _zeta(self, table: int, v: int, u: int) -> int:
         """gf2_zeta(table, v, u), with the masks of each (v, u) built once
-        per game."""
+        per game; over no variables the table itself."""
+        if not v:
+            return table
         steps = self.zetas.get((v, u))
         if steps is None:
             steps = self.zetas[v, u] = list(zeta_steps(v, u))
@@ -254,12 +258,13 @@ class LexGame:
         half = u << (j - 1)
         low = (1 << half) - 1
         p0, p1, v0, v1 = points & low, points >> half, values & low, values >> half
-        both = p0 & p1
+        both, only1 = p0 & p1, p1 & ~p0
         f1 = (v0 ^ v1) & both
         if f1:
             f1 = self.interpolate(b, j - 1, both, f1)
-            v1 ^= self._zeta(f1, j - 1, u)  # f1's values
-        f0 = v0 | v1 & p1 & ~p0
+            if only1:  # f1's values are read only there
+                v1 ^= self._zeta(f1, j - 1, u)
+        f0 = v0 | v1 & only1
         if f0:
             f0 = self.interpolate(b, j - 1, p0 | p1, f0)
         return f0 | f1 << half
@@ -386,7 +391,13 @@ def evaluate(
             for shift, pts, step in layout:
                 m = t >> shift & ((1 << n) - 1)
                 if (shift, m) not in spread:
-                    spread[shift, m] = sum(1 << i * step for i, p in enumerate(pts) if p & m == m)
+                    # bit i * step for each point i that m divides, set in one buffer:
+                    # a sum of shifted ones would copy the growing int on every hit
+                    buf = bytearray(len(pts) * step // 8 + 1)  # a step of 0 still needs a byte
+                    for i, p in enumerate(pts):
+                        if p & m == m:
+                            buf[i * step >> 3] |= 1 << (i * step & 7)
+                    spread[shift, m] = int.from_bytes(buf, "little")
                 r *= spread[shift, m]
             acc ^= r
         return acc

@@ -22,6 +22,12 @@ def rand_poly(n, blocks, rng, max_terms=5, density=0.4):
     return Polynomial(n, terms)
 
 
+def expansions(products, n):
+    """The nonzero expansions of products' factor tuples, as generators: an
+    ideal without points takes its products this way."""
+    return tuple(g for g in (bool_product(factors, n) for factors in products) if not g.is_zero)
+
+
 def rand_generators(n, blocks, rng, max_gens=4, max_terms=5):
     """Nonzero random generators; may be empty when all candidates cancel."""
     polys = (rand_poly(n, blocks, rng, max_terms) for _ in range(rng.randint(1, max_gens)))

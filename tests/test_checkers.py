@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_is_reduced_basis, rand_system, seeded
+from helpers import assert_is_reduced_basis, expansions, rand_system, seeded
 from quorum_algebra import checkers
 from quorum_algebra.checkers import (
     PROPERTIES,
@@ -163,13 +163,14 @@ def _recorded_ideal(name, systems, method="sm-count"):
 
 def _without_points(name, systems, B):
     """The same ideal with every block's system as its characteristic
-    polynomial instead of points, which leaves it to the pair loop."""
+    polynomial instead of points, and its products expanded, which leaves
+    it to the pair loop."""
     gens = list(B.generators)
     for block, source in PROPERTIES[name].encodes:
         char = system_char_poly(checkers._members(source, systems), block)
         if not char.is_zero:
             gens.append(char)
-    return IdealBasis(tuple(gens), B.order, B.n, B.products)
+    return IdealBasis(tuple(gens) + expansions(B.products, B.n), B.order, B.n)
 
 
 def _systems(n):
@@ -209,8 +210,8 @@ def test_variety_route_matches_the_pair_loop(drawn):
 # in each case below V is not V0, so the lex game runs
 def test_threshold_certificates_match_the_pair_loop():
     """At n = 4 and 5 each checker's certificate equals the pair loop's on
-    its ideal written as characteristic polynomials, which expands the
-    products and pairs availability's flipped relation."""
+    its ideal written as characteristic polynomials, with the products
+    expanded into generators, which pairs availability's flipped relation."""
     cases = [("q4", threshold_system(4, 1, "classical")), ("q3", threshold_system(4, 2, "classical")),
              ("availability", threshold_system(5, 1, "classical")),
              ("masking", threshold_system(4, 1, "classical")),
@@ -224,14 +225,14 @@ def test_threshold_certificates_match_the_pair_loop():
         assert reference == cert and reference.stats.variety_points == 0
         assert B.products or reference.stats.pairs_queued > 0
     # the overlap product is zero on V0 and the other one cuts V; the pair
-    # loop, given the blocks as characteristic polynomials, expands both
+    # loop takes the blocks as characteristic polynomials and both expanded
     pts = frozenset(m.mask for m in TWO_SUBSETS)
     products = (overlap_poly(3, "x", "y"), (parse_polynomial("x1*y1 + x1", 3),))
     order = BlockLexOrder(("x", "y"))
     cert = buchberger(IdealBasis((), order, 3, products, (("x", pts), ("y", pts))))
     assert (cert.stats.products_vanished, cert.stats.variety_points) == (1, 7)
     chars = tuple(system_char_poly(TWO_SUBSETS, b) for b in ("x", "y"))
-    reference = buchberger(IdealBasis(chars, order, 3, products))
+    reference = buchberger(IdealBasis(chars + expansions(products, 3), order, 3))
     assert reference == cert
     stats = reference.stats
     assert (stats.products_vanished, stats.variety_points) == (0, 0)

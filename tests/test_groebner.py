@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_is_reduced_basis,
+    expansions,
     rand_generators,
     rand_poly,
     seeded,
@@ -183,11 +184,13 @@ def test_spolys_of_output_reduce_to_zero():
 
 
 def _assert_fold_matches_expansion(gens, products, order, n):
-    folded = IdealBasis(tuple(gens), order, n, products=products)
+    """Products evaluated on V0, every block's whole cube here, give the
+    certificate the pair loop gives their expansions as generators."""
+    cube = range(1 << n)
+    folded = IdealBasis(tuple(gens), order, n, products, points=((b, cube) for b in order.blocks))
     cert = buchberger(folded)
     assert_is_reduced_basis(folded, cert)
-    expanded = tuple(g for g in (bool_product(f, n) for f in products) if not g.is_zero)
-    assert buchberger(IdealBasis(tuple(gens) + expanded, order, n)) == cert
+    assert buchberger(IdealBasis(tuple(gens) + expansions(products, n), order, n)) == cert
     return cert
 
 
@@ -244,7 +247,7 @@ def test_criteria_agree_over_one_to_four_blocks():
             tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 3)))
             for _ in range(rng.randint(0, 2))
         )
-        _checked(IdealBasis(gens, BlockLexOrder(blocks), n, products))
+        _checked(IdealBasis(gens + expansions(products, n), BlockLexOrder(blocks), n))
 
 
 def test_criterion_f_keeps_one_pair_of_an_lcm_group():
@@ -290,7 +293,7 @@ def test_stats_balance_and_repeat():
             tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 2)))
             for _ in range(rng.randint(0, 2))
         )
-        ideals.append(IdealBasis(gens, BlockLexOrder(blocks), n, products))
+        ideals.append(IdealBasis(gens + expansions(products, n), BlockLexOrder(blocks), n))
     for basis in ideals:
         cert = _checked(basis)
         s = cert.stats
@@ -334,7 +337,7 @@ def _seeded_ideal(rng):
         tuple(rand_poly(n, blocks, rng, max_terms=3) for _ in range(rng.randint(1, 3)))
         for _ in range(rng.randint(0, 2))
     )
-    return IdealBasis(tuple(gens), BlockLexOrder(blocks), n, products)
+    return IdealBasis(tuple(gens) + expansions(products, n), BlockLexOrder(blocks), n)
 
 
 def test_seeded_blocks_give_the_reduced_basis():
@@ -668,7 +671,7 @@ def test_one_block_generators_on_blocks_given_by_points(route):
         else:
             chars = [system_char_poly(system, b) for b, system in systems.items()]
             gens += [c for c in chars if not c.is_zero]
-            reference = buchberger(IdealBasis(tuple(gens), B.order, n, products))
+            reference = buchberger(IdealBasis(tuple(gens) + expansions(products, n), B.order, n))
             assert reference == cert
             stats = reference.stats
             assert stats.variety_points == stats.products_vanished == 0
@@ -683,3 +686,7 @@ def test_idealbasis_validates_products():
         IdealBasis((), X, 3, products=((p("x1", 2),),))
     with pytest.raises(ValueError):
         IdealBasis((), X, 3, products=((p("x1"), p("y1")),))
+    # products need points; without them their expansion is a generator
+    with pytest.raises(ValueError, match="products need points"):
+        IdealBasis((), X, 3, products=((p("x1"),),))
+    IdealBasis((), X, 3, products=((p("x1"),),), points=(("x", {0b001}),))

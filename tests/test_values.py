@@ -88,7 +88,7 @@ CASES = [
     ),
     pytest.param(
         IdealBasis, {"generators": (GEN,), "order": XY, "n": 2, "products": (FACTORS,), "points": POINTS},
-        ((GEN,), XY, 2, (FACTORS,)),
+        ((GEN,), XY, 2, (), POINTS),
         f"IdealBasis(generators=({GEN!r},), order={XY!r}, n=2, products=({FACTORS!r},), points={POINTS!r})",
         {"products": (), "points": ()},
         [
@@ -98,6 +98,7 @@ CASES = [
             (((GEN,), BlockLexOrder(("x",)), 2), ValueError, "uses blocks outside"),
             (((), XY, 2, (), POINTS[:1]), ValueError, r"no points on \['y'\]"),
             (((), XY, 2, (), (("x", {4}), ("y", {1}))), ValueError, "masks of 2 bits"),
+            (((), XY, 2, (FACTORS,)), ValueError, "products need points"),
         ],
         id="IdealBasis",
     ),

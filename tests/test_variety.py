@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import assert_is_reduced_basis, seeded
 from quorum_algebra import variety
 from quorum_algebra.algebra import BlockLexOrder, gf2_zeta, parse_polynomial
-from quorum_algebra.checkers import check_q4, threshold_system
+from quorum_algebra.checkers import check_q3, check_q4, threshold_system
 from quorum_algebra.groebner import IdealBasis, buchberger
 from quorum_algebra.variety import LexGame, TooLarge, _standard
 
@@ -121,6 +121,26 @@ def test_each_leaf_descends_once(monkeypatch):
     assert (len(descents), len(set(descents))) == (31, 31)
 
 
+@pytest.mark.parametrize("check, n, f, transforms", [(check_q4, 4, 1, 176), (check_q3, 4, 2, 349)])
+def test_game_transforms_only_what_it_reads(monkeypatch, check, n, f, transforms):
+    """interpolate turns f1 into values only when P1 - P0 is nonempty, basis
+    interpolates no f0 when P1 lies in P0, and a transform over no
+    variables is the table itself, so these checks make this many zeta
+    transforms over one or more variables (271 and 378 when every
+    computed transform was made)."""
+    sizes = []
+    real = LexGame._zeta
+
+    def zeta(self, table, v, u):
+        if v:
+            sizes.append(v)
+        return real(self, table, v, u)
+
+    monkeypatch.setattr(LexGame, "_zeta", zeta)
+    check(threshold_system(n, f, "classical")[1])
+    assert len(sizes) == transforms
+
+
 def test_leaves_count_toward_the_budget(monkeypatch):
     """A budget that the element tables and the lifted bases alone fit
     raises TooLarge once the leaves' interpolants, the spread leaf point
@@ -167,8 +187,48 @@ def test_game_keeps_one_zeta_plan_per_size():
     for v, u in sizes:
         table = rng.getrandbits(u << v)
         assert game._zeta(table, v, u) == gf2_zeta(table, v, u)
-    assert sorted(game.zetas) == sorted(set(sizes))
+        if not v:
+            assert game._zeta(table, v, u) == table
+    # a transform over no variables keeps no plan
+    assert sorted(game.zetas) == sorted({(v, u) for v, u in sizes if v})
     assert game.bits == sum(pat.bit_length() for steps in game.zetas.values() for _, pat in steps)
+
+
+def _per_point(gens, products, fields, n):
+    """evaluate's V and vanished count, one point of V0 at a time."""
+    (shift, top), (_, lower) = fields
+
+    def value(poly, point):
+        return sum(1 for t in poly if t & ~point == 0) & 1
+
+    variety, nonzero = 0, [False] * len(products)
+    for i, point in enumerate(q << shift | w for q in top for w in lower):
+        zeros = [any(not value(f, point) for f in factors) for factors in products]
+        nonzero = [seen or not zero for seen, zero in zip(nonzero, zeros)]
+        if all(zeros) and not any(value(g, point) for g in gens):
+            variety |= 1 << i
+    return variety, nonzero.count(False)
+
+
+def test_evaluate_matches_the_points_on_a_wide_block():
+    """On the 495 quorums of n=12, f=2 as the top block, whose spread tables
+    are hundreds of bits wide, evaluate gives the V of the per-point
+    definition. Below a block with no points the step is 0, and V0 and V
+    are empty."""
+    n = 12
+    top = sorted(q.mask for q in threshold_system(n, 2, "classical")[0])
+    assert len(top) == 495
+    rng = seeded(31)
+
+    def poly():
+        return tuple(sum(1 << k for k in rng.sample(range(2 * n), rng.randint(1, 3))) for _ in range(3))
+
+    gens = [poly(), poly()]
+    products = [[poly(), poly()], [poly()]]
+    for lower in ([0b1, 0b110, 0xfff], []):
+        fields = [(n, top), (0, lower)]
+        assert variety.evaluate(gens, products, fields, n) == _per_point(gens, products, fields, n)
+
 
 def _stops(monkeypatch):
     """The (blocks, k) of every game's elements call from now on."""
