@@ -90,46 +90,13 @@ def _field_spoly(g: Sequence[int], x: int) -> list[int]:
     return [u for t in g if not t & x for u in (t, t | x)]
 
 
-_SUPERSETS = tuple(tuple(u for u in range(16) if u & a == a) for a in range(16))
-
-
-class _Divisors:
-    """Which elements' leading monomials divide a given monomial.
-
-    Masks are cut into 4-bit chunks; rows[k][u] is the bitset of element
-    indices whose leading monomial, restricted to chunk k, is a subset of u.
-    The elements whose leading monomial divides m are the AND, over the
-    chunks, of m's entries, with no loop over the elements.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, v: int):
-        self.rows = [[0] * 16 for _ in range((v + 3) // 4)]
-
-    def add(self, idx: int, lm: int) -> None:
-        bit = 1 << idx
-        for row in self.rows:
-            for u in _SUPERSETS[lm & 15]:
-                row[u] |= bit
-            lm >>= 4
-
-    def of(self, m: int) -> int:
-        found = -1  # every element; v >= 1, so there is a row to cut it down
-        for row in self.rows:
-            found &= row[m & 15]
-            m >>= 4
-        return found
-
-
-def _normal_form(
-    terms: Collection[int], basis: Sequence[tuple[int, ...]], divisors: _Divisors
-) -> tuple[int, ...]:
+def _normal_form(terms: Collection[int], basis: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """Full reduction: no output monomial is divisible by any basis leading monomial.
 
-    Each term is reduced by the lowest-indexed element whose leading monomial
-    divides it. A step scales that element by the cofactor c; for a tail term
-    t < LM the product c | t stays below c | LM, so terms only decrease.
+    Each term is reduced by the first element in basis whose leading
+    monomial divides it, found by a scan. A step scales that element by the
+    cofactor c; for a tail term t < LM the product c | t stays below c | LM,
+    so terms only decrease.
     """
     if not terms:
         return ()
@@ -139,21 +106,17 @@ def _normal_form(
     out: list[int] = []
     pop = heapq.heappop
     push = heapq.heappush
-    rows = divisors.rows
     while heap:
         m = -pop(heap)
         if m not in work:
             continue
-        found = -1  # divisors.of(m), inlined: this runs once per term
-        rest = m
-        for row in rows:
-            found &= row[rest & 15]
-            rest >>= 4
-        if not found:
+        for red in basis:
+            if not red[0] & ~m:
+                break
+        else:
             work.discard(m)
             out.append(m)
             continue
-        red = basis[(found & -found).bit_length() - 1]
         c = m & ~red[0]
         for t in red:
             s = c | t
@@ -346,11 +309,10 @@ def normal_form(f: Polynomial, reducers: Sequence[Polynomial], order: BlockLexOr
     return Polynomial(f.n, out)
 
 
-def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> list[tuple[int, ...]]:
-    """Buchberger's pair loop over v-bit masks; returns every element it
-    built, a Groebner basis once the pairs run out."""
+def _pair_loop(gens: list[tuple[int, ...]], stats: GroebnerStats) -> list[tuple[int, ...]]:
+    """Buchberger's pair loop; returns every element it built, a Groebner
+    basis once the pairs run out."""
     basis: list[tuple[int, ...]] = []
-    divisors = _Divisors(v)
     # A queued pair is (lcm degree, lcm, seq, i, j): j >= 0 pairs basis[i]
     # with basis[j], j < 0 is the field pair of basis[i] and the variable
     # whose mask is -j; its ordinary-ring lcm is LM_i with that variable
@@ -362,14 +324,12 @@ def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> lis
         nonlocal seq
         idx = len(basis)
         lm = p[0]
-        pairs: list[tuple[int, int]] = []  # (lcm, i) for the pairs (i, idx) to queue
-        # The new pairs, grouped by lcm L; every member's LM divides L.
-        # Criterion M drops a group when the table holds more divisors of
-        # L than its members: the pair of p with such a divisor has an lcm
-        # strictly dividing L. Criterion F keeps the earliest pair of a
-        # group, and none when a member is coprime with p.
+        # The new pairs, grouped by lcm L; first maps L to its earliest member.
+        # Criterion M drops a group when another group's lcm strictly divides
+        # L: that group's members lead with monomials dividing L, and the pair
+        # of p with one of them has the smaller lcm. Criterion F keeps the
+        # earliest pair of a group, and none when a member is coprime with p.
         first: dict[int, int] = {}
-        size: dict[int, int] = {}
         coprime: set[int] = set()  # lcms of groups with a coprime member
         ncoprime = 0
         for i, q in enumerate(basis):
@@ -377,14 +337,11 @@ def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> lis
             if not q[0] & lm:
                 coprime.add(l)
                 ncoprime += 1
-            if l in size:
-                size[l] += 1
-            else:
-                first[l] = i
-                size[l] = 1
-        for l, i in first.items():
-            if l not in coprime and divisors.of(l).bit_count() == size[l]:
-                pairs.append((l, i))
+            first.setdefault(l, i)
+        pairs = [  # (lcm, i) for the pairs (i, idx) to queue
+            (l, i) for l, i in first.items()
+            if l not in coprime and not any(k != l and not k & ~l for k in first)
+        ]
         stats.dropped_coprime += ncoprime
         stats.dropped_mf += idx - ncoprime - len(pairs)
         for l, i in pairs:
@@ -392,13 +349,14 @@ def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> lis
             seq += 1
         # Field pairs: x*p = p when x divides every term; the rest are the
         # only pairs with lcm LM(p) * x^2, and criterion M drops all of them
-        # when an earlier leading monomial divides LM(p).
+        # when an earlier leading monomial divides LM(p), that is when LM(p)
+        # is one of the group lcms.
         common = lm
         for t in p:
             common &= t
         stats.dropped_field += common.bit_count()
         fields = lm & ~common
-        if fields and divisors.of(lm):
+        if fields and lm in first:
             stats.dropped_mf += fields.bit_count()
             fields = 0
         stats.pairs_queued += len(pairs) + fields.bit_count()
@@ -409,14 +367,13 @@ def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> lis
             seq += 1
             fields ^= x
         basis.append(p)
-        divisors.add(idx, lm)
 
     for p in gens:
         add_poly(p)
     while heap:
         _, _, _, i, j = heapq.heappop(heap)
         s = _spoly(basis[i], basis[j]) if j >= 0 else _field_spoly(basis[i], -j)
-        r = _normal_form(s, basis, divisors)
+        r = _normal_form(s, basis)
         if r:
             stats.reductions_nonzero += 1
             add_poly(r)
@@ -425,20 +382,19 @@ def _pair_loop(gens: list[tuple[int, ...]], v: int, stats: GroebnerStats) -> lis
     return basis
 
 
-def _reduce_basis(basis: list[tuple[int, ...]], v: int) -> list[tuple[int, ...]]:
+def _reduce_basis(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Minimalize, then fully reduce every tail; output sorted by LM descending.
 
-    A tail term lies below its own leading monomial, so no element can
-    reduce its own tail, and every element stays a valid reducer while the
-    others are reduced.
+    An element is kept when no kept leading monomial divides its own. A
+    tail term lies below its own leading monomial, so no element can reduce
+    its own tail, and every element stays a valid reducer while the others
+    are reduced.
     """
     kept: list[tuple[int, ...]] = []
-    divisors = _Divisors(v)
     for p in sorted(basis, key=lambda p: p[0]):
-        if not divisors.of(p[0]):
-            divisors.add(len(kept), p[0])
+        if all(q[0] & ~p[0] for q in kept):
             kept.append(p)
-    reduced = [(p[0],) + _normal_form(p[1:], kept, divisors) for p in kept]
+    reduced = [(p[0],) + _normal_form(p[1:], kept) for p in kept]
     return sorted(reduced, reverse=True)
 
 
@@ -463,7 +419,7 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
         points = {field_shift(b, n, blocks): pts for b, pts in B.points}
         reduced = reduced_basis(gens, products, points, n, stats)
     else:
-        reduced = _reduce_basis(_pair_loop(gens, v, stats), v)
+        reduced = _reduce_basis(_pair_loop(gens, stats))
     count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats
@@ -491,39 +447,29 @@ def _minimal(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sm_count_masks(masks: Sequence[int], universe: int) -> int:
-    """Count the submasks of universe that no mask divides, by recursion on
-    the variables; the masks lie in universe."""
+    """Count the submasks of universe that no mask divides, in one pass over
+    the variables from the lowest bit up; the masks lie in universe.
+
+    states maps the minimal masks still to be avoided, with the variables
+    decided so far cleared from them, to the number of choices for those
+    variables that reach them; equal states merge.
+    """
     if any(m == 0 for m in masks):
         return 0
-    bits = [1 << b for b in bit_positions(universe)]
-    v = len(bits)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def rec(i: int, active: tuple[int, ...]) -> int:
-        if not active:
-            return 1 << (v - i)
-        key = (i, active)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bit = bits[i]
-        # variable i absent: masks requiring it can never divide
-        res = rec(i + 1, tuple(m for m in active if not m & bit))
-        # variable i present: clear it from masks; a fully cleared mask divides
-        inc: list[int] = []
-        dead = False
-        for m in active:
-            m2 = m & ~bit
-            if m2 == 0:
-                dead = True
-                break
-            inc.append(m2)
-        if not dead:
-            res += rec(i + 1, _minimal(inc))
-        memo[key] = res
-        return res
-
-    return rec(0, _minimal(masks))
+    states = {_minimal(masks): 1}
+    for b in bit_positions(universe):
+        bit = 1 << b
+        nxt: dict[tuple[int, ...], int] = {}
+        for active, ways in states.items():
+            # variable b absent: masks requiring it can never divide
+            out = tuple(m for m in active if not m & bit)
+            nxt[out] = nxt.get(out, 0) + ways
+            # variable b present: clear it from masks; a fully cleared mask divides
+            if bit not in active:
+                inc = _minimal(m & ~bit for m in active)
+                nxt[inc] = nxt.get(inc, 0) + ways
+        states = nxt
+    return sum(states.values())
 
 
 def standard_monomial_count(

@@ -396,6 +396,13 @@ def test_groebner_variable_budget_env(capsys, monkeypatch):
     assert out == f"order: x\nn: 30\nreduced basis:\n  x1*x30\nstandard monomials: {3 * 2**28}\n"
 
 
+def test_groebner_counts_past_the_recursion_limit(capsys, monkeypatch):
+    monkeypatch.setenv("QA_VAR_BUDGET", "1500")
+    code, out, _ = run(["groebner", "--polys", "x1", "--n", "1500"], capsys)
+    assert code == 0
+    assert out.endswith(f"standard monomials: {2**1499}\n")
+
+
 def test_gen_threshold_round_trip(tmp_path, capsys):
     out_path = str(tmp_path / "gen.json")
     code, out, err = run(

@@ -33,6 +33,7 @@ from quorum_algebra.groebner import (
     GroebnerCertificate,
     GroebnerStats,
     IdealBasis,
+    _sm_count_masks,
     buchberger,
     elimination_subbasis,
     normal_form,
@@ -257,6 +258,20 @@ def test_criterion_f_keeps_one_pair_of_an_lcm_group():
     gens = (p("x1*x2"), p("x2*x3 + x2"), p("x1*x3 + x3"))
     cert = _checked(IdealBasis(gens, X, 3))
     assert cert.basis == (p("x1*x3 + x3"), p("x2"))
+
+
+def test_criterion_m_drops_a_group_whose_lcm_another_group_divides():
+    # x1*x2 divides LM(x1*x2*x3 + x3), so that element's field pairs are
+    # dropped; when x1*x4 + x4 arrives, its pair with x1*x2 has lcm x1*x2*x4,
+    # which strictly divides the lcm x1*x2*x3*x4 of its pair with the second
+    # element, so M drops that group of one, which is not coprime
+    gens = (p("x1*x2", 4), p("x1*x2*x3 + x3", 4), p("x1*x4 + x4", 4))
+    cert = _checked(IdealBasis(gens, X, 4))
+    assert cert.basis == (p("x1*x2", 4), p("x1*x4 + x4", 4), p("x2*x4", 4), p("x3", 4))
+    assert cert.sm_count == 4
+    s = cert.stats
+    assert (s.pairs_queued, s.dropped_coprime, s.dropped_mf, s.dropped_field) == (4, 3, 6, 7)
+    assert (s.reductions_zero, s.reductions_nonzero) == (2, 2)
 
 
 def test_pending_pair_of_a_divided_element_is_reduced():
@@ -496,6 +511,13 @@ def test_standard_monomial_count_methods_agree():
         vs = XY.variables(3)
         recurse = standard_monomial_count(cert.basis, vs, XY)
         assert recurse == sm_count_enumerate(cert.basis, vs, XY) == cert.sm_count
+
+
+def test_standard_monomial_count_runs_past_the_recursion_limit():
+    # one pass per variable, with no call per variable on the stack
+    universe = (1 << 1500) - 1
+    assert _sm_count_masks([1 << 1499], universe) == 1 << 1499
+    assert _sm_count_masks([universe], universe) == universe
 
 
 def test_standard_monomial_count_rejects_foreign_variables():
