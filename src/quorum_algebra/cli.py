@@ -148,7 +148,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "method": verdict.method,
                 "expected_count": verdict.expected_count,
                 "observed_count": verdict.observed_count,
-                "basis_size": len(verdict.certificate.masks),
+                "basis_size": len(verdict.certificate.leading),
                 # counters only: they repeat exactly, so stdout stays deterministic
                 "stats": vars(verdict.certificate.stats),
             }

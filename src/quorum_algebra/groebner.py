@@ -11,11 +11,13 @@ when d & ~m == 0, and the cofactor of d in m is m & ~d. A polynomial is a
 tuple of masks in descending order, so the leading monomial is element 0.
 
 A GroebnerCertificate keeps the reduced basis in that form, as its masks,
-and builds Polynomials in the x, y, z, t layout only when its basis is
-read. In the order's layout a suffix of the blocks holds the lowest bits,
-so an element lies in the suffix's variables when its leading monomial is
-below the suffix's top bit, and the standard monomials of an elimination
-sub-basis are counted from the leading masks alone.
+and its leading monomials as leading. It builds Polynomials in the x, y,
+z, t layout only when its basis is read; a certificate of the variety
+route renders even its masks only when they are read, from the runs the
+lex game left. In the order's layout a suffix of the blocks holds the
+lowest bits, so an element lies in the suffix's variables when its
+leading monomial is below the suffix's top bit, and the standard
+monomials of an elimination sub-basis are counted from leading alone.
 
 The field polynomials x^2 + x never enter the basis. The S-polynomial of an
 element g with x^2 + x, reduced by the field polynomials, is the Boolean
@@ -54,7 +56,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .algebra import (
     BLOCKS,
@@ -222,8 +224,14 @@ class GroebnerCertificate(Record):
 
     masks is the basis as the engine holds it: one tuple of masks per
     element, in the order's own layout, descending, so element 0 is the
-    leading monomial. basis is the same elements as Polynomials, built the
-    first time it is read; the checkers never read it.
+    leading monomial. leading holds those leading monomials, descending,
+    always tuple(p[0] for p in masks). basis is the same elements as
+    Polynomials, built the first time it is read; the checkers never read it.
+
+    The variety route's certificate (from_render) holds leading and the lex
+    game's runs: its masks are rendered from the runs the first time they
+    are read, and the runs are dropped then. Equality, hashing, repr,
+    pickling and copying read masks, so no copy shares a pending render.
     """
 
     masks: tuple[tuple[int, ...], ...]
@@ -236,7 +244,30 @@ class GroebnerCertificate(Record):
         stats: GroebnerStats | None = None,
     ) -> None:
         stats = GroebnerStats() if stats is None else stats
-        self.__dict__.update(masks=masks, order=order, n=n, sm_count=sm_count, stats=stats)
+        leading = tuple(p[0] for p in masks)
+        self.__dict__.update(masks=masks, leading=leading, order=order, n=n, sm_count=sm_count, stats=stats)
+
+    @classmethod
+    def from_render(
+        cls, leading: tuple[int, ...], render: Callable[[], tuple[tuple[int, ...], ...]],
+        order: BlockLexOrder, n: int, sm_count: int, stats: GroebnerStats,
+    ) -> GroebnerCertificate:
+        """A certificate whose masks render() builds the first time they are read."""
+        cert = cls.__new__(cls)
+        cert.__dict__.update(
+            leading=leading, _render=render, order=order, n=n, sm_count=sm_count, stats=stats
+        )
+        return cert
+
+    @cached_property
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        masks = self._render()
+        del self.__dict__["_render"]
+        return masks
+
+    def __getstate__(self) -> dict:
+        self.masks  # render first: the render function never enters a pickle or a copy
+        return self.__dict__
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -254,7 +285,7 @@ class GroebnerCertificate(Record):
     def sm_count_for(self, keep_blocks: tuple[str, ...]) -> int:
         """Standard monomials of the elimination sub-basis over a block suffix."""
         top = self._suffix_top(keep_blocks)
-        return _sm_count_masks([p[0] for p in self.masks if p[0] < top], top - 1)
+        return _sm_count_masks([m for m in self.leading if m < top], top - 1)
 
 
 def reduce_once(f1: Polynomial, f2: Polynomial, order: BlockLexOrder) -> Polynomial:
@@ -417,10 +448,12 @@ def buchberger(B: IdealBasis) -> GroebnerCertificate:
     if B.points:
         products = [[engine(f) for f in factors] for factors in B.products]
         points = {field_shift(b, n, blocks): pts for b, pts in B.points}
-        reduced = reduced_basis(gens, products, points, n, stats)
-    else:
-        reduced = _reduce_basis(_pair_loop(gens, stats))
-    count = stats.variety_points or _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
+        leading, render = reduced_basis(gens, products, points, n, stats)
+        return GroebnerCertificate.from_render(
+            leading, render, B.order, n, stats.variety_points, stats
+        )
+    reduced = _reduce_basis(_pair_loop(gens, stats))
+    count = _sm_count_masks([p[0] for p in reduced], (1 << v) - 1)
     return GroebnerCertificate(
         masks=tuple(reduced), order=B.order, n=n, sm_count=count, stats=stats
     )
@@ -434,7 +467,7 @@ def elimination_subbasis(cert: GroebnerCertificate, keep_blocks: tuple[str, ...]
     leading monomial, the largest of its masks, does.
     """
     top = cert._suffix_top(keep_blocks)
-    return tuple(g for g, p in zip(cert.basis, cert.masks) if p[0] < top)
+    return tuple(g for g, m in zip(cert.basis, cert.leading) if m < top)
 
 
 def _minimal(masks: Iterable[int]) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from typing import Callable
 
 from .algebra import bit_positions, repeat_bits, zeta_steps
 
@@ -40,6 +41,10 @@ from .algebra import bit_positions, repeat_bits, zeta_steps
 _BATCH_BITS = 1 << 18
 # The bits (256 MiB) that V0's bitset and a lex game's tables may hold in all.
 _TABLE_BITS = 1 << 31
+
+# A level's nonzero runs (LexGame.runs): the level, the runs, the block
+# monomial of each and the number of runs of each element.
+Runs = tuple[int, list[int], list[int], list[int]]
 
 
 class TooLarge(ValueError):
@@ -105,28 +110,44 @@ class LexGame:
         self.zetas: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (v, unit) -> zeta_steps(v, unit)
         self.inverses: dict[int, list[list[int]]] = {}
 
-    def elements(self, variety: int) -> tuple[list[tuple[int, ...]], int]:
+    def elements(self, variety: int) -> tuple[list[int], list[Runs], int]:
         """The elements of the reduced basis of I(V), V a bitset over V0,
-        that lead with a block above k, as engine masks, leading monomial
-        first; and k, the first block b where V's projection onto blocks b
-        and below is all of S_b x W_b (else the number of blocks). Lex
-        eliminates: level b's basis of that projection holds, at keys from
-        unit_b on, the elements that lead with block b, and level b-1
-        memoised it at j = 0. The point bases of blocks k on are the rest."""
+        that lead with a block above k: their leading monomials as engine
+        masks, descending, and the runs of each level's tables, which
+        polynomials turns into those elements; and k, the first block b
+        where V's projection onto blocks b and below is all of S_b x W_b
+        (else the number of blocks). Lex eliminates: level b's basis of that
+        projection holds, at keys from unit_b on, the elements that lead
+        with block b, and level b-1 memoised it at j = 0. The point bases of
+        blocks k on are the rest."""
+        leading: list[int] = []
         levels = []
         for b, u in enumerate(self.units):
             if variety == (1 << (u * len(self.pts[b]))) - 1:
                 break
             basis = self.basis(b, self.n, self.spread(variety, b))
-            levels.append([g for m, g in basis.items() if m >= u])
+            keys = sorted((m for m in basis if m >= u), reverse=True)
+            leading += [self._monomial(b, m) for m in keys]
+            levels.append([basis[m] for m in keys])
             below = 0  # V's projection onto W_b: the OR of its points' runs
             for i in range(len(self.pts[b])):
                 below |= variety >> i * u & ((1 << u) - 1)
             variety = below
         for kept in (self.memo, self.leaves, self.spreads, self.zetas):
             kept.clear()  # the element tables are all that is left to read
-        found = [p for b, tables in enumerate(levels) for p in self.polynomials(tables, b)]
-        return found, len(levels)
+        for b, tables in enumerate(levels):
+            levels[b] = self.runs(tables, b)  # and only their runs are kept
+        return leading, levels, len(levels)
+
+    def _monomial(self, b: int, key: int) -> int:
+        """The engine mask of level b's key m * unit_b + w: block b's
+        monomial m times the lower standard monomials at mixed-radix index w."""
+        m, w = divmod(key, self.units[b])
+        mask = m << self.shifts[b]
+        for i in range(len(self.pts) - 1, b, -1):  # the last block is the lowest digit
+            w, d = divmod(w, len(self.std[i]))
+            mask |= self.std[i][d] << self.shifts[i]
+        return mask
 
     def spread(self, bits: int, b: int) -> int:
         """A table over S_b x W_b as one over block b's cube: the run of
@@ -269,53 +290,61 @@ class LexGame:
             f0 = self.interpolate(b, j - 1, p0 | p1, f0)
         return f0 | f1 << half
 
-    def polynomials(self, tables: list[int], level: int) -> list[tuple[int, ...]]:
-        """Polynomials of a level as engine masks, leading monomial first.
+    def runs(self, tables: list[int], level: int) -> Runs:
+        """The nonzero runs of a level's tables, which polynomials reads.
 
         A table's run at m * unit holds the values on W_level of what its
-        block's monomial m is multiplied by. The nonzero runs of all tables
-        are stacked, run k at k * unit, in one int per _BATCH_BITS bits, where
-        _coefficients turns each lower block's values into coefficients. Bit
-        k * unit + w is then run k's monomial times the lower standard
-        monomials at mixed-radix index w.
+        block's monomial m is multiplied by. The runs come table by table,
+        each table's in ascending m, with their monomials m and the number
+        of runs of each table.
         """
-        unit, shift = self.units[level], self.shifts[level]
-        per = max(1, _BATCH_BITS // unit)
+        unit = self.units[level]
         high = repeat_bits(1 << (unit - 1), unit, unit << self.n)  # each run's top bit
         low = ((1 << (unit << self.n)) - 1) ^ high  # the rest of each run
-        lower = [0]  # the products of lower standard monomials, by mixed-radix index
-        for b in range(level + 1, len(self.pts)):
-            lower = [mask | m << self.shifts[b] for mask in lower for m in self.std[b]]
-        terms: list[list[int]] = [[] for _ in tables]
         runs: list[int] = []
-        owners: list[tuple[int, int]] = []  # (table, its block's monomial) of each run
+        monomials: list[int] = []
+        counts: list[int] = []
+        for g in tables:
+            # a run's top bit is set, or carried into from the rest, when the run is not zero
+            found = bit_positions((((g & low) + low) | g) & high)
+            for i in found:
+                m = i // unit
+                runs.append(g >> m * unit & (1 << unit) - 1)
+                monomials.append(m)
+            counts.append(len(found))
+        return level, runs, monomials, counts
 
-        def flush() -> None:
-            stack, width = runs, unit
-            while len(stack) > 1:  # pairwise, so each bit moves log(len(runs)) times
+    def polynomials(self, level: Runs) -> list[tuple[int, ...]]:
+        """A level's polynomials as engine masks, leading monomial first.
+
+        The runs are stacked, run k at k * unit, in one int per _BATCH_BITS
+        bits, where _coefficients turns each lower block's values into
+        coefficients. Bit k * unit + w is then run k's monomial times the
+        lower standard monomials at mixed-radix index w. Both ascend, so
+        each table's terms come out ascending.
+        """
+        b0, runs, monomials, counts = level
+        unit, shift = self.units[b0], self.shifts[b0]
+        per = max(1, _BATCH_BITS // unit)
+        lower = [0]  # the products of lower standard monomials, by mixed-radix index
+        for b in range(b0 + 1, len(self.pts)):
+            lower = [mask | m << self.shifts[b] for mask in lower for m in self.std[b]]
+        owners = [e for e, count in enumerate(counts) for _ in range(count)]
+        terms: list[list[int]] = [[] for _ in counts]
+        for start in range(0, len(runs), per):
+            stack, width = runs[start:start + per], unit
+            total = len(stack) * unit
+            while len(stack) > 1:  # pairwise, so each bit moves log(len(stack)) times
                 stack = [lo | hi << width for lo, hi in zip(stack[::2], stack[1::2] + [0])]
                 width *= 2
             stack = stack[0]
-            for b in range(level + 1, len(self.pts)):
-                stack = self._coefficients(b, stack, self.units[b], len(runs) * unit)
+            for b in range(b0 + 1, len(self.pts)):
+                stack = self._coefficients(b, stack, self.units[b], total)
             for i in bit_positions(stack):
                 k, w = divmod(i, unit)
-                e, top = owners[k]
-                terms[e].append(top | lower[w])
-            runs.clear()
-            owners.clear()
-
-        for e, g in enumerate(tables):
-            # a run's top bit is set, or carried into from the rest, when the run is not zero
-            for i in bit_positions((((g & low) + low) | g) & high):
-                m = i // unit
-                runs.append(g >> m * unit & (1 << unit) - 1)
-                owners.append((e, m << shift))
-                if len(runs) == per:
-                    flush()
-        if runs:
-            flush()
-        return [tuple(sorted(t, reverse=True)) for t in terms]
+                k += start
+                terms[owners[k]].append(monomials[k] << shift | lower[w])
+        return [tuple(t[::-1]) for t in terms]
 
     def _coefficients(self, b: int, g: int, stride: int, total: int) -> int:
         """g, total bits with bit i at point (i // stride) mod |S_b| of block
@@ -441,15 +470,16 @@ def reduced_basis(
     points: dict[int, frozenset[int]],
     n: int,
     stats: SimpleNamespace,
-) -> list[tuple[int, ...]]:
+) -> tuple[tuple[int, ...], Callable[[], tuple[tuple[int, ...], ...]]]:
     """The reduced basis of a sum of point ideals on every block (shift ->
-    points), generators and products, as engine masks, descending. The game
-    gives the elements that lead with a block above k, and the point bases
-    of blocks k and below, whose variables they alone use, give the rest.
-    Raises TooLarge, before evaluating anything, when V0's bitset passes
-    _TABLE_BITS, and when it and the tables of a game, a point basis's
-    included, pass it together. Sets
-    stats' products_vanished, variety_points and block counts."""
+    points), generators and products: its leading monomials as engine
+    masks, descending, and a function that renders its elements, as tuples
+    of masks in the same order. The game gives the elements that lead with
+    a block above k, and the point bases of blocks k and below, whose
+    variables they alone use, give the rest. Raises TooLarge, before
+    evaluating anything, when V0's bitset passes _TABLE_BITS, and when it
+    and the tables of a game, a point basis's included, pass it together.
+    Sets stats' products_vanished, variety_points and block counts."""
     fields = [(shift, sorted(pts)) for shift, pts in sorted(points.items(), reverse=True)]
     size = math.prod(len(pts) for _, pts in fields)
     if size > _TABLE_BITS:
@@ -457,21 +487,35 @@ def reduced_basis(
     variety, stats.products_vanished = evaluate(gens, products, fields, n)
     stats.variety_points = variety.bit_count()
     if not variety:
-        return [(0,)]
-    found, k = [], 0
+        return (0,), lambda: ((0,),)
+    game, leading, levels, k = None, [], [], 0
     if variety != (1 << size) - 1:  # else I(V) = I(V0), with no game to play
         # V lies in the product of its projections too, whose tables are smaller
         variety, fields = shrink(variety, fields)
-        found, k = LexGame(fields, n, _TABLE_BITS, held=size).elements(variety)
-    built: dict[int, list[tuple[int, ...]]] = {}  # point set, as a bitset -> its basis
+        game = LexGame(fields, n, _TABLE_BITS, held=size)
+        leading, levels, k = game.elements(variety)
+    # point set, as a bitset -> its basis as tables over the masks, descending;
+    # a table's top bit is its leading monomial
+    built: dict[int, list[int]] = {}
+    blocks = []
     for shift, pts in fields[k:]:
         key = sum(1 << p for p in pts)
-        basis = built.get(key)
-        if basis is None:
+        if key not in built:
             stats.blocks_solved += 1
-            elements = LexGame([(0, pts)], n, _TABLE_BITS, held=size).basis(0, n, key).values()
-            basis = built[key] = [tuple(bit_positions(g)[::-1]) for g in elements]
+            basis = LexGame([(0, pts)], n, _TABLE_BITS, held=size).basis(0, n, key)
+            built[key] = sorted(basis.values(), reverse=True)
         else:
             stats.blocks_reused += 1
-        found.extend(tuple(t << shift for t in g) for g in basis)
-    return sorted(found, reverse=True)
+        leading += [(g.bit_length() - 1) << shift for g in built[key]]
+        blocks.append((shift, key))
+
+    def render() -> tuple[tuple[int, ...], ...]:
+        found = [p for level in levels for p in game.polynomials(level)]
+        terms: dict[int, list[tuple[int, ...]]] = {}  # point set -> its basis, descending
+        for shift, key in blocks:
+            if key not in terms:
+                terms[key] = [tuple(bit_positions(g)[::-1]) for g in built[key]]
+            found += [tuple(t << shift for t in g) for g in terms[key]]
+        return tuple(found)
+
+    return tuple(leading), render

@@ -93,6 +93,7 @@ def assert_is_reduced_basis(B, cert):
     """
     order, n = B.order, B.n
     assert (cert.order, cert.n) == (order, n)
+    assert cert.leading == tuple(p[0] for p in cert.masks)
     expanded = [bool_product(factors, n) for factors in B.products]
     points = variety_enumerate(list(B.generators) + expanded, order.blocks, n)
     points = frozenset(p for p in points if _on_points(p, order, n, B.points))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from quorum_algebra import cli, variety
+from quorum_algebra import cli, groebner, variety
 from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
 from quorum_algebra.groebner import GroebnerStats
@@ -255,6 +255,68 @@ def test_check_json_like_stats(tmp_path, capsys):
     doc = json.loads(run(["check", "consistency", "--input", path, "--format", "json-like"], capsys)[1])
     stats = doc["algebraic"]["stats"]
     assert stats["products_vanished"] == 1
+
+
+# The text reports of every property on the masking n=5, f=1 system, which
+# all hold, and of q3 and q4 on the classical n=4, f=2 system, which fail;
+# with the exit code and the json-like report's basis_size of each
+REPORTS = [
+    ("masking", 5, 1, "consistency", 0, "quorums: 5 sets\nalgebraic: holds (25 = 25)\noracle: holds\n", 14),
+    ("masking", 5, 1, "availability", 0,
+     "quorums: 5 sets\nfail_prone: 5 sets\nalgebraic: holds (5 = 5)\noracle: holds\n", 12),
+    ("masking", 5, 1, "dissemination", 0,
+     "quorums: 5 sets\nfail_prone: 5 sets\nalgebraic: holds (150 = 150)\noracle: holds\n", 24),
+    ("masking", 5, 1, "masking", 0,
+     "quorums: 5 sets\nfail_prone: 5 sets\nalgebraic: holds (750 = 750)\noracle: holds\n", 31),
+    ("masking", 5, 1, "q3", 0, "fail_prone: 5 sets\nalgebraic: holds (125 = 125)\noracle: holds\n", 21),
+    ("masking", 5, 1, "q4", 0, "fail_prone: 5 sets\nalgebraic: holds (625 = 625)\noracle: holds\n", 28),
+    ("classical", 4, 2, "q3", 1,
+     "fail_prone: 6 sets\nalgebraic: fails (102 != 216)\n"
+     "oracle: fails (witness {P1,P2}, {P1,P2}, {P3,P4})\n", 34),
+    ("classical", 4, 2, "q4", 1,
+     "fail_prone: 6 sets\nalgebraic: fails (318 != 1296)\n"
+     "oracle: fails (witness {P1,P2}, {P1,P2}, {P1,P2}, {P3,P4})\n", 99),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, f, prop, code, body, size", REPORTS, ids=[f"{kind}-{n}-{f}-{prop}" for kind, n, f, prop, *_ in REPORTS]
+)
+def test_reports_build_no_term_masks(tmp_path, capsys, monkeypatch, kind, n, f, prop, code, body, size):
+    """qa check reads |V| and the leading monomials, never the rendered
+    basis: with the render step raising, the reports keep their exit codes
+    and bytes, and json-like its basis_size. Reading the masks of a
+    certificate twice renders them once."""
+    path = str(tmp_path / "system.json")
+    assert run(["gen-threshold", "--n", str(n), "--f", str(f), "--kind", kind, "--out", path], capsys)[0] == 0
+    reading, renders = [], []
+    real = groebner.reduced_basis
+
+    def reduced_basis(*args):
+        leading, render = real(*args)
+
+        def counted():
+            if not reading:
+                pytest.fail("a report rendered the term masks")
+            renders.append(leading)
+            return render()
+
+        return leading, counted
+
+    monkeypatch.setattr(groebner, "reduced_basis", reduced_basis)
+    verdicts = []
+    wrap_cli(monkeypatch, "check_", lambda verdict: verdicts.append(verdict) or verdict)
+    verdict = "holds" if code == 0 else "fails"
+    assert run(["check", prop, "--input", path], capsys)[:2] == (
+        code, f"property: {prop}\nn: {n}\n{body}verdict: {verdict}\n"
+    )
+    out = run(["check", prop, "--input", path, "--format", "json-like"], capsys)[1]
+    assert json.loads(out)["algebraic"]["basis_size"] == size
+    reading.append(True)
+    cert = verdicts[0].certificate
+    first = cert.masks
+    assert cert.masks is first and len(renders) == 1
+    assert len(first) == size and cert.leading == tuple(p[0] for p in first)
 
 
 def test_check_over_the_table_budget_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, Variable, parse_polynomial
-from quorum_algebra.checkers import Property, Verdict
+from quorum_algebra.checkers import Property, Verdict, check_q3, threshold_system
 from quorum_algebra.encoding import CharPoly, ProcessSubset, SetSystem, overlap_poly
 from quorum_algebra.groebner import GroebnerCertificate, GroebnerStats, IdealBasis
 from quorum_algebra.oracle import OracleReport
@@ -171,6 +171,23 @@ def test_value_classes(cls, fields, other, text, defaults, errors):
     with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
         delattr(value, name)
     assert values(value) == args
+
+
+def test_an_unread_certificate_pickles_copies_and_compares():
+    """A checker's certificate renders its masks the first time they are
+    read. Pickling and copying render them first, so no render function
+    enters a pickle and no copy shares one; the copy equals a read
+    certificate and has its repr and hash."""
+    fail_prone = threshold_system(4, 2, "classical")[1]
+    read = check_q3(fail_prone).certificate
+    read.masks
+    for trip in (lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy):
+        cert = check_q3(fail_prone).certificate
+        assert "masks" not in vars(cert)
+        twin = trip(cert)
+        assert "_render" not in vars(cert) and "_render" not in vars(twin)
+        assert twin == read and repr(twin) == repr(read) and hash(twin) == hash(read)
+        assert (twin.leading, twin.stats) == (read.leading, read.stats)
 
 
 def test_variables_order_by_block_then_index():

@@ -1,5 +1,7 @@
 """Tests for the lex game that builds reduced bases of Boolean point ideals."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import assert_is_reduced_basis, seeded
 from quorum_algebra import variety
 from quorum_algebra.algebra import BlockLexOrder, gf2_zeta, parse_polynomial
-from quorum_algebra.checkers import check_q3, check_q4, threshold_system
+from quorum_algebra.checkers import check_availability, check_q3, check_q4, threshold_system
 from quorum_algebra.groebner import IdealBasis, buchberger
 from quorum_algebra.variety import LexGame, TooLarge, _standard
 
@@ -42,7 +44,7 @@ def _points_of(game, table):
 def test_interpolate_takes_the_values_on_standard_monomials(drawn):
     game, points, values = drawn
     f = game.interpolate(0, game.n, points, values)
-    (poly,) = game.polynomials([f], 0)
+    (poly,) = game.polynomials(game.runs([f], 0))
     # it takes values on points
     for p in _points_of(game, points):
         value = sum(1 for t in poly if t & ~p == 0) & 1
@@ -98,6 +100,7 @@ def test_polynomials_across_batch_boundaries(monkeypatch, batch_bits):
         points=(("x", {0b00, 0b01, 0b11}), ("y", {0b00, 0b01, 0b10}), ("z", {0b01, 0b11})),
     )
     whole = buchberger(B)
+    whole.basis  # rendered now: a render reads _BATCH_BITS when it runs
     monkeypatch.setattr(variety, "_BATCH_BITS", batch_bits)
     cert = buchberger(B)
     assert seen == [(3, 2), (3, 2)]
@@ -172,10 +175,31 @@ def test_leaves_count_toward_the_budget(monkeypatch):
     assert game.bits == tables + lifted + leaves + spreads + masks
     with pytest.raises(TooLarge):
         LexGame(fields, n, tables + lifted).elements(v)
-    game = LexGame(fields, n, game.bits)
-    assert game.elements(v) == real(LexGame(fields, n), v)
+    game, unbounded = LexGame(fields, n, game.bits), LexGame(fields, n)
+    (leading, levels, k), (expected, expected_levels, expected_k) = game.elements(v), real(unbounded, v)
+    assert (leading, k) == (expected, expected_k)
+    rendered = [p for level in levels for p in game.polynomials(level)]
+    assert rendered == [p for level in expected_levels for p in unbounded.polynomials(level)]
+    assert leading == [p[0] for p in rendered]
     assert not (game.memo or game.leaves or game.spreads or game.zetas)  # freed when the game ends
 
+
+
+def test_an_unread_certificate_keeps_runs_not_tables():
+    """The variety route's certificate keeps each level's nonzero runs until
+    its masks are read, not the level tables. Availability on the classical
+    n=12, f=3 system leaves about 0.1 MB held (the level tables take about
+    0.9 MB, the rendered masks 0.4 MB)."""
+    quorums, fail_prone = threshold_system(12, 3, "classical")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = check_availability(quorums, fail_prone).certificate
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert "masks" not in vars(cert)
+    assert held <= 1 << 19
 
 
 def test_game_keeps_one_zeta_plan_per_size():
@@ -236,9 +260,9 @@ def _stops(monkeypatch):
     real = LexGame.elements
 
     def elements(self, v):
-        found, k = real(self, v)
+        leading, levels, k = real(self, v)
         seen.append((len(self.pts), k))
-        return found, k
+        return leading, levels, k
 
     monkeypatch.setattr(LexGame, "elements", elements)
     return seen
