@@ -67,6 +67,8 @@ def load_system_file(path: str) -> tuple[int, SetSystem | None, SetSystem | None
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to parse: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: top level must be an object")
     unknown = set(data) - {"n", "quorums", "fail_prone"}
@@ -90,6 +92,8 @@ def load_system_file(path: str) -> tuple[int, SetSystem | None, SetSystem | None
             return SetSystem.from_lists(n, lists)
         except ValueError as exc:
             raise InputError(f"{path}: '{key}': {exc}") from exc
+        except (OverflowError, MemoryError) as exc:
+            raise InputError(f"{path}: '{key}': members too large to build at n = {n}") from exc
 
     return n, build("quorums"), build("fail_prone")
 

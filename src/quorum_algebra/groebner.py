@@ -263,6 +263,7 @@ class GroebnerCertificate(Record):
     def masks(self) -> tuple[tuple[int, ...], ...]:
         masks = self._render()
         del self.__dict__["_render"]
+        self.__dict__["leading"] = tuple(p[0] for p in masks)  # one int per leading monomial
         return masks
 
     def __getstate__(self) -> dict:

@@ -85,7 +85,8 @@ class LexGame:
     problem one level down (lift). A game keeps each node's basis (memo),
     each leaf's interpolant (leaves), each leaf point set spread to the
     next level (spreads) and the masks of its zeta transforms (zetas), and
-    counts their bits toward its budget.
+    counts their bits toward its budget. The render, and the one-block games
+    that interpolate each lower block's inverse (_inverse), sit outside it.
     """
 
     def __init__(
@@ -108,7 +109,7 @@ class LexGame:
         self.leaves: dict[tuple[int, int, int], int] = {}  # (b, points, values) -> interpolant
         self.spreads: dict[tuple[int, int], int] = {}  # (b, points of W_b-1) -> spread(points, b)
         self.zetas: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (v, unit) -> zeta_steps(v, unit)
-        self.inverses: dict[int, list[list[int]]] = {}
+        self.inverses: dict[int, list[list[int]]] = {}  # b -> the rows of _inverse(b)
 
     def elements(self, variety: int) -> tuple[list[int], list[Runs], int]:
         """The elements of the reduced basis of I(V), V a bitset over V0,
@@ -339,54 +340,44 @@ class LexGame:
                 width *= 2
             stack = stack[0]
             for b in range(b0 + 1, len(self.pts)):
-                stack = self._coefficients(b, stack, self.units[b], total)
+                stack = self._coefficients(b, stack, total)
             for i in bit_positions(stack):
                 k, w = divmod(i, unit)
                 k += start
                 terms[owners[k]].append(monomials[k] << shift | lower[w])
         return [tuple(t[::-1]) for t in terms]
 
-    def _coefficients(self, b: int, g: int, stride: int, total: int) -> int:
-        """g, total bits with bit i at point (i // stride) mod |S_b| of block
+    def _coefficients(self, b: int, g: int, total: int) -> int:
+        """g, total bits with bit i at point (i // unit_b) mod |S_b| of block
         b, with its values on S_b replaced by the coefficients over std(S_b).
-        Point c's slice is g shifted down c * stride bits, under stride ones
-        every |S_b| * stride bits; coefficient r sums the slices of row r."""
+        Point c's slice is g shifted down c * unit_b bits, under unit_b ones
+        every |S_b| * unit_b bits. Coefficient r sums, in one accumulator,
+        the slices of the points whose columns of _inverse hold r (row r)."""
         if b not in self.inverses:
-            self.inverses[b] = self._inverse(b)
-        size = len(self.pts[b])
-        mask = repeat_bits((1 << stride) - 1, size * stride, total)
-        slices = [g >> c * stride & mask for c in range(size)]
+            rows = self.inverses[b] = [[] for _ in self.pts[b]]
+            for c, column in enumerate(self._inverse(b)):
+                for r in column:
+                    rows[r].append(c)
+        u, size = self.units[b], len(self.pts[b])
+        mask = repeat_bits((1 << u) - 1, size * u, total)
+        slices = [g >> c * u & mask for c in range(size)]
         g = 0
         for r, row in enumerate(self.inverses[b]):
             acc = 0
             for c in row:
                 acc ^= slices[c]
-            g |= acc << r * stride
+            g |= acc << r * u
         return g
 
     def _inverse(self, b: int) -> list[list[int]]:
-        """Row r: the points of block b whose values sum to the coefficient
-        of its r-th standard monomial. Gauss-Jordan elimination on the
-        evaluation matrix, invertible since |std(S_b)| = |S_b|."""
+        """Column c: the indices in std(S_b) of the monomials of the
+        interpolant of point c's indicator on block b's points. Interpolation
+        is linear, so the coefficients of any values sum the columns of the
+        points where they are one."""
         pts, index = self.pts[b], self.index[b]
-        s = len(pts)
-        rows = []
-        for i, p in enumerate(pts):
-            row, m = 1 << (s + i), p
-            while True:  # the standard monomials among the submasks m of p
-                if m in index:
-                    row |= 1 << index[m]
-                if not m:
-                    break
-                m = (m - 1) & p
-            rows.append(row)
-        for r in range(s):
-            pivot = next(i for i in range(r, s) if rows[i] >> r & 1)
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(s):
-                if i != r and rows[i] >> r & 1:
-                    rows[i] ^= rows[r]
-        return [bit_positions(row >> s) for row in rows]
+        game, full = LexGame([(0, pts)], self.n), sum(1 << p for p in pts)
+        columns = (game.interpolate(0, self.n, full, 1 << p) for p in pts)
+        return [[index[m] for m in bit_positions(f)] for f in columns]
 
 
 def evaluate(
@@ -511,11 +502,8 @@ def reduced_basis(
 
     def render() -> tuple[tuple[int, ...], ...]:
         found = [p for level in levels for p in game.polynomials(level)]
-        terms: dict[int, list[tuple[int, ...]]] = {}  # point set -> its basis, descending
         for shift, key in blocks:
-            if key not in terms:
-                terms[key] = [tuple(bit_positions(g)[::-1]) for g in built[key]]
-            found += [tuple(t << shift for t in g) for g in terms[key]]
+            found += [tuple(t << shift for t in bit_positions(g)[::-1]) for g in built[key]]
         return tuple(found)
 
     return tuple(leading), render

@@ -13,6 +13,7 @@ import pytest
 from quorum_algebra import cli, groebner, variety
 from quorum_algebra.checkers import PROPERTIES
 from quorum_algebra.cli import load_system_file, main
+from quorum_algebra.encoding import ProcessSubset
 from quorum_algebra.groebner import GroebnerStats
 from quorum_algebra.oracle import OracleReport
 
@@ -210,6 +211,27 @@ def test_check_unreadable_inputs(tmp_path, capsys):
     array = write_input(tmp_path, [TRIANGLE], "array.json")
     code, out, err = run(["check", "consistency", "--input", array], capsys)
     assert (code, out, err) == (2, "", f"error: {array}: top level must be an object\n")
+
+
+def test_check_inputs_too_large_to_load(tmp_path, capsys, monkeypatch):
+    # a file the loader cannot hold is an input error; exit 1 would read as "fails"
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": 3, "quorums": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    huge = write_input(tmp_path, {"n": 10**20, "quorums": [[1]]}, "huge.json")
+    for path in (str(deep), huge):
+        code, out, err = run(["check", "consistency", "--input", path, "--method", "oracle"], capsys)
+        assert (code, out) == (2, ""), path
+        assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+
+    def out_of_memory(indices, n):
+        raise MemoryError
+
+    monkeypatch.setattr(ProcessSubset, "from_indices", out_of_memory)
+    path = write_input(tmp_path, TRIANGLE)
+    code, out, err = run(["check", "consistency", "--input", path], capsys)
+    assert (code, out, err) == (
+        2, "", f"error: {path}: 'quorums': members too large to build at n = 3\n"
+    )
 
 
 def test_check_is_deterministic(tmp_path, capsys):

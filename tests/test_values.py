@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from quorum_algebra.algebra import BlockLexOrder, Polynomial, Variable, parse_polynomial
-from quorum_algebra.checkers import Property, Verdict, check_q3, threshold_system
+from quorum_algebra.checkers import Property, Verdict, check_q3, check_q4, threshold_system
 from quorum_algebra.encoding import CharPoly, ProcessSubset, SetSystem, overlap_poly
 from quorum_algebra.groebner import GroebnerCertificate, GroebnerStats, IdealBasis
 from quorum_algebra.oracle import OracleReport
@@ -188,6 +188,18 @@ def test_an_unread_certificate_pickles_copies_and_compares():
         assert "_render" not in vars(cert) and "_render" not in vars(twin)
         assert twin == read and repr(twin) == repr(read) and hash(twin) == hash(read)
         assert (twin.leading, twin.stats) == (read.leading, read.stats)
+
+
+def test_a_read_certificate_shares_its_leading_monomials():
+    """Reading the masks rebuilds leading from them, so a read certificate
+    holds each leading monomial once; its value and counts stay the same."""
+    fail_prone = threshold_system(5, 2, "classical")[1]
+    cert, twin = check_q4(fail_prone).certificate, check_q4(fail_prone).certificate
+    leading, count = cert.leading, cert.sm_count_for(("z", "t"))
+    masks = cert.masks
+    assert all(cert.leading[i] is p[0] for i, p in enumerate(masks))
+    assert cert.leading == leading and cert.sm_count_for(("z", "t")) == count
+    assert cert == twin and hash(cert) == hash(twin)
 
 
 def test_variables_order_by_block_then_index():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_is_reduced_basis, seeded
 from quorum_algebra import variety
-from quorum_algebra.algebra import BlockLexOrder, gf2_zeta, parse_polynomial
+from quorum_algebra.algebra import BlockLexOrder, gf2_zeta, parse_polynomial, repeat_bits
 from quorum_algebra.checkers import check_availability, check_q3, check_q4, threshold_system
 from quorum_algebra.groebner import IdealBasis, buchberger
 from quorum_algebra.variety import LexGame, TooLarge, _standard
@@ -87,6 +87,37 @@ def test_spread_and_gather_move_each_points_run(drawn):
     # the run of every mask that is not a point stays zero
     assert all(not table >> m * u & ((1 << u) - 1) for m in range(1 << game.n) if m not in pts)
     assert game.gather(table, b) == bits
+
+
+def test_coefficients_take_back_their_values():
+    """_coefficients turns a lower block's values into coefficients over
+    std(S_b); evaluated at each point of S_b, the XOR over the standard
+    monomials dividing it, they give the values back. A block with points
+    below it holds its values at a stride above 1."""
+    rng, wide = seeded(29), 0
+    for _ in range(150):
+        n, blocks = rng.randint(1, 4), rng.randint(2, 3)
+        fields = [
+            (n * (blocks - 1 - i), sorted(rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+            for i in range(blocks)
+        ]
+        game = LexGame(fields, n)
+        for b in range(1, blocks):
+            u, pts, std = game.units[b], game.pts[b], game.std[b]
+            wide += u > 1
+            total = len(pts) * u * rng.randint(1, 4)
+            g = rng.getrandbits(total)
+            coefficients = game._coefficients(b, g, total)
+            assert coefficients >> total == 0
+            mask = repeat_bits((1 << u) - 1, len(pts) * u, total)
+            for c, p in enumerate(pts):
+                value = 0
+                for r, m in enumerate(std):
+                    if m & ~p == 0:
+                        value ^= coefficients >> r * u & mask
+                assert value == g >> c * u & mask
+            assert {r for column in game._inverse(b) for r in column} == set(range(len(std)))
+    assert wide
 
 
 @pytest.mark.parametrize("batch_bits", [1, 13])
